@@ -58,7 +58,7 @@ Subpackages
 
 The names re-exported here (see ``__all__``) are the library's stable
 public API; anything else may move between releases (old locations keep
-working for a deprecation cycle, as ``repro.platform.trace`` does now).
+working for one deprecation cycle; docs/API.md lists the current shims).
 """
 
 from repro.core import (

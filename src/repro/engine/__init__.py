@@ -5,7 +5,7 @@ The experiment harness's scaling layer (docs/ENGINE.md):
 * :class:`~repro.engine.parallel.ParallelMap` — order-preserving map with
   serial and process-pool backends; every payload is self-seeding, so
   ``workers=N`` runs are bit-identical to serial runs.  Fault-tolerant:
-  per-task timeouts, bounded seeded-backoff retries, and poison-task
+  a stall watchdog, bounded seeded-backoff retries, and poison-task
   quarantine via batch bisection keep one bad payload from sinking a run.
 * :class:`~repro.engine.cache.ResultCache` — content-addressed on-disk
   JSON records keyed by config/dataset/strategy fields plus a
@@ -19,10 +19,6 @@ The experiment harness's scaling layer (docs/ENGINE.md):
   scenarios (crash/hang/corrupt-result, corrupt/torn cache stores,
   crashed/torn obs trace exports) that replay deterministically
   (docs/ENGINE.md §Fault tolerance).
-* :mod:`repro.engine.shm` — zero-copy shared-memory transport: large CSR
-  datasets ship to pool workers as :class:`~repro.engine.shm.ShmHandle`
-  references into ``multiprocessing.shared_memory`` segments instead of
-  per-task pickled copies (docs/PERFORMANCE.md).
 """
 
 from repro.engine.cache import (
@@ -51,7 +47,6 @@ from repro.engine.faults import (
 from repro.engine.locks import ShardLock
 from repro.engine.parallel import ParallelMap, chunked
 from repro.engine.sharded import ShardedResultCache
-from repro.engine.shm import ShmHandle, ShmSession, shm_enabled
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
@@ -68,14 +63,11 @@ __all__ = [
     "ResultCache",
     "ShardLock",
     "ShardedResultCache",
-    "ShmHandle",
-    "ShmSession",
     "aggregate_stats",
     "arm_synth_faults",
     "chunked",
     "code_version_salt",
     "fingerprint",
     "get_engine",
-    "shm_enabled",
     "shutdown_engines",
 ]

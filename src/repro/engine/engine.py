@@ -104,7 +104,6 @@ class Engine:
     cache: ResultCache | None = None
     stats: EngineStats = field(default_factory=EngineStats)
     timeout_s: float | None = None
-    task_deadline_s: float | None = None
     deadline_s: float | None = None
     max_retries: int = 2
     fault_plan: FaultPlan | None = None
@@ -113,7 +112,6 @@ class Engine:
         self.parallel_map = ParallelMap(
             self.workers,
             timeout_s=self.timeout_s,
-            task_deadline_s=self.task_deadline_s,
             deadline_s=self.deadline_s,
             max_retries=self.max_retries,
             fault_plan=self.fault_plan,
@@ -232,7 +230,7 @@ class Engine:
 
 
 #: Shared engines, keyed by (workers, resolved cache directory or None,
-#: timeout_s, task_deadline_s, deadline_s, max_retries, fault_plan).
+#: timeout_s, deadline_s, max_retries, fault_plan).
 _ENGINES: dict[tuple, Engine] = {}
 
 
@@ -241,7 +239,6 @@ def get_engine(
     cache_dir: str | None = None,
     *,
     timeout_s: float | None = None,
-    task_deadline_s: float | None = None,
     deadline_s: float | None = None,
     max_retries: int = 2,
     fault_plan: FaultPlan | None = None,
@@ -254,15 +251,7 @@ def get_engine(
     same workers/cache pair.
     """
     resolved = str(Path(cache_dir).resolve()) if cache_dir is not None else None
-    key = (
-        workers,
-        resolved,
-        timeout_s,
-        task_deadline_s,
-        deadline_s,
-        max_retries,
-        fault_plan,
-    )
+    key = (workers, resolved, timeout_s, deadline_s, max_retries, fault_plan)
     engine = _ENGINES.get(key)
     if engine is None:
         cache = ResultCache(resolved) if resolved is not None else None
@@ -270,7 +259,6 @@ def get_engine(
             workers=workers,
             cache=cache,
             timeout_s=timeout_s,
-            task_deadline_s=task_deadline_s,
             deadline_s=deadline_s,
             max_retries=max_retries,
             fault_plan=fault_plan,

@@ -17,7 +17,7 @@ Fault kinds
     process must never ``_exit`` itself).
 ``hang``
     The task stalls for ``hang_s`` seconds before completing — exercises
-    the per-task timeout / pool-restart path.
+    the stall-watchdog / pool-restart path.
 ``corrupt_result``
     The task ships a :class:`CorruptResult` marker instead of its real
     result — exercises result validation + retry.

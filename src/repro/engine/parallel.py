@@ -65,8 +65,8 @@ from repro.engine.faults import (
     PoisonTaskError,
     apply_task_faults,
 )
-from repro.engine.shm import ShmPayload, ShmSession, shm_enabled
 from repro.obs import runtime as _obs
+from repro.util.errors import ValidationError
 from repro.util.rng import stable_seed
 
 _T = TypeVar("_T")
@@ -107,10 +107,6 @@ def _pool_task(packed: tuple) -> tuple:
         )
         if marker is not None:
             return marker, None, None, 0.0
-    if isinstance(payload, ShmPayload):
-        # Zero-copy rehydration: embedded CSR handles reattach to the
-        # parent's shared-memory segments (cached per worker).
-        payload = payload.load()
     start_s = time.perf_counter()  # reprolint: disable=DET001 -- wall-clock obs span; wall_ms is telemetry, never merged into results
     records = snapshot = None
     if observe:
@@ -136,7 +132,7 @@ def chunked(items: Sequence[_T], n_chunks: int) -> list[list[_T]]:
     tie-breaking, left-fold float sums) match the serial code exactly.
     """
     if n_chunks < 1:
-        raise ValueError(f"n_chunks must be >= 1, got {n_chunks}")
+        raise ValidationError(f"n_chunks must be >= 1, got {n_chunks}")
     items = list(items)
     n_chunks = min(n_chunks, len(items))
     if n_chunks == 0:
@@ -164,16 +160,8 @@ class ParallelMap:
         Stall watchdog: if no pooled task completes for this long, the
         pool is presumed hung, killed, and the unfinished tasks retried.
         ``None`` (default) waits forever — set it whenever hangs are a
-        real risk.
-    task_deadline_s:
-        Per-task deadline: a pooled task still running this long after
-        submission is declared hung even while *other* tasks keep
-        completing (the case the per-wait watchdog cannot see).  The
-        expired task is quarantined with precise attribution — no
-        bisection needed — the pool is recycled, and innocent in-flight
-        tasks are retried as ordinary soft failures.  ``None`` (default)
-        disables it.  Like ``timeout_s``, the serial backend cannot
-        preempt a running task, so this only guards the process backend.
+        real risk.  The serial backend cannot preempt a running task, so
+        this only guards the process backend.
     deadline_s:
         Upper bound on one whole :meth:`map` call (all attempts
         included); exceeded deadlines raise
@@ -196,7 +184,6 @@ class ParallelMap:
         workers: int = 1,
         *,
         timeout_s: float | None = None,
-        task_deadline_s: float | None = None,
         deadline_s: float | None = None,
         max_retries: int = 2,
         backoff_base_s: float = 0.05,
@@ -205,24 +192,19 @@ class ParallelMap:
         fault_plan: FaultPlan | None = None,
     ) -> None:
         if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
+            raise ValidationError(f"workers must be >= 1, got {workers}")
         if timeout_s is not None and timeout_s <= 0:
-            raise ValueError(f"timeout_s must be > 0, got {timeout_s}")
-        if task_deadline_s is not None and task_deadline_s <= 0:
-            raise ValueError(
-                f"task_deadline_s must be > 0, got {task_deadline_s}"
-            )
+            raise ValidationError(f"timeout_s must be > 0, got {timeout_s}")
         if deadline_s is not None and deadline_s <= 0:
-            raise ValueError(f"deadline_s must be > 0, got {deadline_s}")
+            raise ValidationError(f"deadline_s must be > 0, got {deadline_s}")
         if max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {max_retries}")
+            raise ValidationError(f"max_retries must be >= 0, got {max_retries}")
         if backoff_base_s < 0:
-            raise ValueError(f"backoff_base_s must be >= 0, got {backoff_base_s}")
+            raise ValidationError(f"backoff_base_s must be >= 0, got {backoff_base_s}")
         if backoff_jitter < 0:
-            raise ValueError(f"backoff_jitter must be >= 0, got {backoff_jitter}")
+            raise ValidationError(f"backoff_jitter must be >= 0, got {backoff_jitter}")
         self.workers = workers
         self.timeout_s = timeout_s
-        self.task_deadline_s = task_deadline_s
         self.deadline_s = deadline_s
         self.max_retries = max_retries
         self.backoff_base_s = backoff_base_s
@@ -230,7 +212,6 @@ class ParallelMap:
         self.seed = seed
         self.fault_plan = fault_plan
         self._executor = None
-        self._shm_session: ShmSession | None = None
         self._pool_broken = False
         self._fallback_reason: str | None = None
         self._fallback_warned = False
@@ -292,21 +273,6 @@ class ParallelMap:
                 return None
         return self._executor
 
-    def _shm(self) -> ShmSession | None:
-        """The shared-memory export session for pooled payload transport.
-
-        Created on first pooled use; ``None`` when the host lacks POSIX
-        shared memory or ``REPRO_SHM=0`` opts out.  Deliberately *not*
-        torn down by :meth:`_kill_pool`: segments must survive pool
-        restarts so retried tasks can reattach; only :meth:`close` (or
-        interpreter exit) unlinks them.
-        """
-        if not shm_enabled():
-            return None
-        if self._shm_session is None:
-            self._shm_session = ShmSession()
-        return self._shm_session
-
     def _kill_pool(self) -> None:
         """Tear the executor down without waiting on wedged workers."""
         executor, self._executor = self._executor, None
@@ -320,17 +286,10 @@ class ParallelMap:
         executor.shutdown(wait=False, cancel_futures=True)
 
     def close(self) -> None:
-        """Shut the worker pool down (no-op for the serial backend).
-
-        Workers stop before the shared-memory segments are unlinked, so
-        no attach can race the teardown.
-        """
+        """Shut the worker pool down (no-op for the serial backend)."""
         if self._executor is not None:
             self._executor.shutdown(wait=True, cancel_futures=True)
             self._executor = None
-        if self._shm_session is not None:
-            self._shm_session.close()
-            self._shm_session = None
 
     # -- retry pacing ------------------------------------------------------
 
@@ -473,48 +432,17 @@ class _MapRun:
                 f"{n_pending} task(s) unfinished"
             )
 
-    def wait_timeout_s(
-        self, next_task_expiry_s: float | None = None
-    ) -> float | None:
-        """The next pool-wait slice: stall watchdog vs remaining deadlines.
-
-        *next_task_expiry_s* is how long until the earliest in-flight
-        task trips ``task_deadline_s`` — the wait must wake up by then
-        even when no task completes and no per-wait watchdog is set.
-        """
+    def wait_timeout_s(self) -> float | None:
+        """The next pool-wait slice: stall watchdog vs remaining deadline."""
         candidates = []
         if self.pmap.timeout_s is not None:
             candidates.append(self.pmap.timeout_s)
         if self.pmap.deadline_s is not None:
             elapsed_s = time.monotonic() - self.start_monotonic_s  # reprolint: disable=DET001 -- watchdog/deadline bookkeeping; wall time gates retries, not results
             candidates.append(self.pmap.deadline_s - elapsed_s)
-        if next_task_expiry_s is not None:
-            candidates.append(next_task_expiry_s)
         if not candidates:
             return None
         return max(_MIN_WAIT_S, min(candidates))
-
-    def next_task_expiry_s(
-        self, pending_futures: set, submitted_s: dict
-    ) -> float | None:
-        """Seconds until the earliest in-flight task trips its deadline."""
-        task_deadline_s = self.pmap.task_deadline_s
-        if task_deadline_s is None or not pending_futures:
-            return None
-        now_s = time.monotonic()  # reprolint: disable=DET001 -- watchdog/deadline bookkeeping; wall time gates retries, not results
-        oldest_s = min(submitted_s[f] for f in pending_futures)
-        return task_deadline_s - (now_s - oldest_s)
-
-    def expired_tasks(self, pending_futures: set, submitted_s: dict) -> list:
-        """In-flight futures whose task deadline has passed (stable order)."""
-        task_deadline_s = self.pmap.task_deadline_s
-        if task_deadline_s is None or not pending_futures:
-            return []
-        now_s = time.monotonic()  # reprolint: disable=DET001 -- watchdog/deadline bookkeeping; wall time gates retries, not results
-        return sorted(
-            (f for f in pending_futures if now_s - submitted_s[f] > task_deadline_s),
-            key=lambda f: submitted_s[f],
-        )
 
     # -- classification ----------------------------------------------------
 
@@ -578,29 +506,17 @@ class _MapRun:
         plan = pmap.fault_plan
         observe = _obs.enabled()
         broken_types = _broken_pool_errors()
-        session = pmap._shm()
         futures: dict = {}
-        submitted_s: dict = {}
         uncovered: list[int] = []
         broken = False
         for position, i in enumerate(indices):
-            wire = self.payloads[i]
-            if session is not None:
-                try:
-                    blob, used_shm = session.dumps(wire)
-                except OSError:
-                    # /dev/shm exhausted or unavailable: inline pickling
-                    # still works, only the zero-copy win is lost.
-                    used_shm = False
-                if used_shm:
-                    wire = ShmPayload(blob)
             packed = (
-                self.fn, wire, self.op, i, self.attempts[i], plan, observe,
+                self.fn, self.payloads[i], self.op, i, self.attempts[i], plan,
+                observe,
             )
             try:
                 future = executor.submit(_pool_task, packed)
                 futures[future] = i
-                submitted_s[future] = time.monotonic()  # reprolint: disable=DET001 -- watchdog/deadline bookkeeping; wall time gates retries, not results
             except (*broken_types, RuntimeError) as exc:
                 # The pool died (or was shut down) under us mid-submit.
                 self.record_failure(i, exc)
@@ -614,12 +530,10 @@ class _MapRun:
         while pending_futures and not broken:
             done, pending_futures = wait(
                 pending_futures,
-                timeout=self.wait_timeout_s(
-                    self.next_task_expiry_s(pending_futures, submitted_s)
-                ),
+                timeout=self.wait_timeout_s(),
                 return_when=FIRST_COMPLETED,
             )
-            if not done and not self.expired_tasks(pending_futures, submitted_s):
+            if not done:
                 self.check_deadline(len(pending_futures))
                 stalled = True
                 pmap.timeouts += 1
@@ -642,48 +556,6 @@ class _MapRun:
                     soft.append(i)
                     continue
                 self.accept(i, shipped, soft)
-            expired = (
-                []
-                if broken
-                else self.expired_tasks(pending_futures, submitted_s)
-            )
-            if expired:
-                # Per-task deadline: the expired tasks are the proven
-                # offenders (completions kept flowing, these did not),
-                # so quarantine them directly — no bisection — kill the
-                # wedged pool, and retry the innocent in-flight tasks
-                # as ordinary soft failures.
-                self.check_deadline(len(pending_futures))
-                pmap.timeouts += len(expired)
-                _obs.counter("pool.timeouts").inc(len(expired))
-                for future in expired:
-                    i = futures[future]
-                    self.record_failure(
-                        i,
-                        TimeoutError(
-                            f"task {i} exceeded task_deadline_s="
-                            f"{pmap.task_deadline_s:g} in a pool worker"
-                        ),
-                    )
-                    if i not in self.poison:
-                        self.poison.add(i)
-                        pmap.quarantined += 1
-                        _obs.counter("pool.quarantined").inc()
-                    soft.append(i)
-                innocents = sorted(
-                    futures[f] for f in pending_futures if f not in expired
-                )
-                for i in innocents:
-                    self.record_failure(
-                        i,
-                        TimeoutError(
-                            f"task {i} was in flight when the pool was "
-                            "recycled for an expired task"
-                        ),
-                    )
-                soft += innocents
-                self.restart_pool()
-                return soft
         if broken:
             unresolved.update(
                 futures[f] for f in pending_futures if self.results[futures[f]] is _UNSET

@@ -100,15 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: wait forever)",
     )
     parser.add_argument(
-        "--task-deadline",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-task deadline: quarantine any single pooled task still "
-        "running this long after submission, even while other tasks keep "
-        "completing (default: off)",
-    )
-    parser.add_argument(
         "--max-retries",
         type=int,
         default=2,
@@ -191,7 +182,6 @@ def main(argv: list[str] | None = None) -> int:
         workers=args.workers,
         cache_dir=None if args.no_cache else args.cache_dir,
         task_timeout_s=args.task_timeout,
-        task_deadline_s=args.task_deadline,
         max_retries=args.max_retries,
     )
     obs_active = (args.obs_out is not None or args.obs_summary) and not args.obs_off

@@ -60,10 +60,6 @@ class ExperimentConfig:
         retried (``None`` = wait forever).  Like every fault-tolerance
         knob it bounds *when* the engine gives up, never *what* it
         computes — results stay bit-identical.
-    task_deadline_s:
-        Per-task deadline: a pooled task still running this long after
-        submission is quarantined even while other tasks keep finishing
-        — the hang the per-wait watchdog cannot see (``None`` = off).
     max_retries:
         Re-attempts granted to each failing engine task beyond its first
         try before the failure is surfaced.
@@ -83,7 +79,6 @@ class ExperimentConfig:
     workers: int = 1
     cache_dir: str | None = None
     task_timeout_s: float | None = None
-    task_deadline_s: float | None = None
     max_retries: int = 2
     fault_plan: "FaultPlan | None" = None
 
@@ -97,10 +92,6 @@ class ExperimentConfig:
         if self.task_timeout_s is not None and self.task_timeout_s <= 0:
             raise ValidationError(
                 f"task_timeout_s must be > 0, got {self.task_timeout_s}"
-            )
-        if self.task_deadline_s is not None and self.task_deadline_s <= 0:
-            raise ValidationError(
-                f"task_deadline_s must be > 0, got {self.task_deadline_s}"
             )
         if self.max_retries < 0:
             raise ValidationError(
@@ -128,7 +119,6 @@ class ExperimentConfig:
             workers=self.workers,
             cache_dir=self.cache_dir,
             timeout_s=self.task_timeout_s,
-            task_deadline_s=self.task_deadline_s,
             max_retries=self.max_retries,
             fault_plan=self.fault_plan,
         )

@@ -13,10 +13,8 @@ performance engineer asks for:
 * :func:`validate_timeline` — opt-in schedule hazard check (delegates to
   :mod:`repro.analysis.hazards`).
 
-These views lived in :mod:`repro.platform.trace` before the observability
-layer existed; they moved here because they *consume* traces rather than
-produce simulated time, which is the obs layer's side of the line.  The old
-import path still works as a deprecated shim.
+These views live in the observability layer, not in :mod:`repro.platform`,
+because they *consume* traces rather than produce simulated time.
 """
 
 from __future__ import annotations

@@ -87,31 +87,3 @@ __all__ = [
     "calibrate_profile",
     "validate_profile",
 ]
-
-# Timeline *views* (utilization, Gantt, hazard validation) moved to the
-# observability layer; keep the old attribute access working with a
-# deprecation warning, lazily so platform never eagerly imports obs.
-_MOVED_TO_OBS = (
-    "ResourceUtilization",
-    "utilization",
-    "idle_spans",
-    "critical_summary",
-    "render_gantt",
-    "validate_timeline",
-)
-
-
-def __getattr__(name: str):
-    if name in _MOVED_TO_OBS:
-        import warnings
-
-        warnings.warn(
-            f"repro.platform.{name} moved to repro.obs.{name}; "
-            "the repro.platform alias will be removed in a future release",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.obs import timeline_view
-
-        return getattr(timeline_view, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

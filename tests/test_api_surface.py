@@ -173,18 +173,14 @@ class TestApiSurface:
             Interconnect(())
 
     def test_deprecated_platform_trace_shim(self):
-        import warnings
+        # The repro.platform timeline aliases served their deprecation
+        # cycle; the views live only in repro.obs now.
+        import pytest
 
         import repro.platform as platform_pkg
-        from repro import obs
 
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            fn = platform_pkg.utilization
-            from repro.platform.trace import validate_timeline as shimmed
-        assert fn is obs.utilization
-        assert shimmed is obs.validate_timeline
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        ), "old import paths must raise DeprecationWarning"
+        with pytest.raises(AttributeError):
+            platform_pkg.utilization
+        with pytest.raises(ImportError):
+            from repro.platform.trace import validate_timeline  # noqa: F401
         assert "render_gantt" not in platform_pkg.__all__

@@ -151,6 +151,21 @@ class TestParallelMapRecovery:
         finally:
             pmap.close()
 
+    def test_hung_task_is_quarantined_while_others_complete(self):
+        # One wedged worker while its sibling keeps completing: the stall
+        # watchdog still fires once the sibling runs dry, and bisection
+        # pins the hang on its task.
+        plan = FaultPlan(specs=(FaultSpec(kind="hang", index=1, hang_s=60.0),))
+        pmap = ParallelMap(2, fault_plan=plan, max_retries=2, timeout_s=0.5, **FAST)
+        try:
+            start_s = time.monotonic()
+            assert pmap.map(_square, [1, 2, 3, 4]) == [1, 4, 9, 16]
+            assert time.monotonic() - start_s < 25  # far below the 60s hang
+            assert pmap.quarantined >= 1
+            assert not pmap.degraded
+        finally:
+            pmap.close()
+
     def test_pooled_corrupt_result_is_retried(self):
         plan = FaultPlan(specs=(FaultSpec(kind="corrupt_result", index=1),))
         pmap = ParallelMap(2, fault_plan=plan, max_retries=2, timeout_s=60, **FAST)
@@ -215,75 +230,6 @@ class TestParallelMapRecovery:
         assert pmap.fallback_reason == "test-injected reason"
         # The map still completes (serially) after the fallback.
         assert pmap.map(_square, [5, 6]) == [25, 36]
-
-
-# ---------------------------------------------------------------------------
-# Per-task deadline (task_deadline_s)
-
-
-class TestTaskDeadline:
-    """The hang the per-wait watchdog cannot see: other tasks keep
-    completing, so ``timeout_s`` never trips — only the per-task deadline
-    notices the one wedged worker."""
-
-    def test_hung_task_is_quarantined_while_others_complete(self):
-        plan = FaultPlan(specs=(FaultSpec(kind="hang", index=1, hang_s=60.0),))
-        # No per-wait watchdog: timeout_s stays None on purpose.
-        pmap = ParallelMap(
-            2, fault_plan=plan, max_retries=2, task_deadline_s=0.5, **FAST
-        )
-        try:
-            start_s = time.monotonic()
-            assert pmap.map(_square, [1, 2, 3, 4]) == [1, 4, 9, 16]
-            assert time.monotonic() - start_s < 25  # far below the 60s hang
-            assert pmap.quarantined >= 1  # direct attribution, no bisection
-            assert pmap.timeouts >= 1
-            assert not pmap.degraded
-        finally:
-            pmap.close()
-
-    def test_deadline_counters_reach_obs(self):
-        plan = FaultPlan(specs=(FaultSpec(kind="hang", index=0, hang_s=60.0),))
-        pmap = ParallelMap(
-            2, fault_plan=plan, max_retries=2, task_deadline_s=0.5, **FAST
-        )
-        tracer, metrics = obs_runtime.enable()
-        try:
-            assert pmap.map(_square, [1, 2, 3]) == [1, 4, 9]
-            counters = metrics.snapshot()["counters"]
-        finally:
-            obs_runtime.disable()
-            pmap.close()
-        assert counters.get("pool.timeouts", 0) > 0
-        assert counters.get("pool.quarantined", 0) > 0
-
-    def test_deadline_validation(self):
-        with pytest.raises(ValueError):
-            ParallelMap(2, task_deadline_s=0.0)
-        with pytest.raises(ValueError):
-            ParallelMap(2, task_deadline_s=-1.0)
-        with pytest.raises(ValidationError):
-            ExperimentConfig(task_deadline_s=0.0)
-
-    def test_deadline_threads_through_engine_and_config(self):
-        from repro.engine import get_engine, shutdown_engines
-
-        try:
-            a = get_engine(workers=1, task_deadline_s=1.5)
-            b = get_engine(workers=1)
-            assert a is not b  # the memo key includes the deadline
-            assert a.parallel_map.task_deadline_s == 1.5
-            config = replace(BASE, task_deadline_s=2.5)
-            assert config.engine().parallel_map.task_deadline_s == 2.5
-        finally:
-            shutdown_engines()
-
-    def test_cli_flag_parses(self):
-        from repro.experiments.cli import build_parser
-
-        args = build_parser().parse_args(["--task-deadline", "1.5", "fig3"])
-        assert args.task_deadline == 1.5
-        assert build_parser().parse_args(["fig3"]).task_deadline is None
 
 
 # ---------------------------------------------------------------------------

@@ -2,19 +2,43 @@
 
 from __future__ import annotations
 
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.core.oracle import exhaustive_oracle
 from repro.engine.parallel import ParallelMap, chunked
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import cc_problem, spmm_problem
+from repro.util.errors import ValidationError
+from repro.workloads.band import banded_matrix
 
 TINY = ExperimentConfig(scale=1 / 256)
 
 
 def _square(x: int) -> int:
     return x * x
+
+
+def _col_sums(payload):
+    """Deterministic reduction over a CSR payload (module-level: pickled)."""
+    matrix, scale = payload
+    out = np.zeros(matrix.shape[1])
+    np.add.at(out, matrix.indices, matrix.data * scale)
+    return out
+
+
+def _psm_segments() -> set[str]:
+    try:
+        return {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
+    except FileNotFoundError:  # no /dev/shm on this host: nothing to leak
+        return set()
 
 
 class _ScalarGridProblem:
@@ -99,6 +123,63 @@ class TestParallelMap:
         pmap.map(_square, [1])
         pmap.close()
         pmap.close()
+
+    @pytest.mark.parametrize(
+        "call, kwargs",
+        [
+            pytest.param(ParallelMap, {"workers": 0}, id="workers"),
+            pytest.param(ParallelMap, {"timeout_s": 0.0}, id="timeout_s"),
+            pytest.param(ParallelMap, {"deadline_s": -1.0}, id="deadline_s"),
+            pytest.param(ParallelMap, {"max_retries": -1}, id="max_retries"),
+            pytest.param(ParallelMap, {"backoff_base_s": -0.1}, id="backoff_base_s"),
+            pytest.param(ParallelMap, {"backoff_jitter": -0.1}, id="backoff_jitter"),
+            pytest.param(chunked, {"items": [1], "n_chunks": 0}, id="n_chunks"),
+        ],
+    )
+    def test_bad_arguments_raise_validation_error(self, call, kwargs):
+        with pytest.raises(ValidationError):
+            call(**kwargs)
+
+    def test_pooled_matches_serial_bit_for_bit(self):
+        matrix = banded_matrix(800, 9.0, rng=7)
+        assert matrix.memory_bytes() >= 1 << 16  # a dataset, not a toy
+        payloads = [(matrix, float(i)) for i in range(1, 5)]
+        serial = [_col_sums(p) for p in payloads]
+        pmap = ParallelMap(2)
+        try:
+            pooled = pmap.map(_col_sums, payloads)
+            assert not pmap.degraded
+        finally:
+            pmap.close()
+        # Per element: the serial list shares one dtype instance that a
+        # whole-list pickle would memoize, pooled results do not.
+        assert [pickle.dumps(r) for r in pooled] == [pickle.dumps(r) for r in serial]
+
+
+class TestPooledCliRun:
+    def test_pooled_run_ends_clean(self, tmp_path):
+        """A pooled CLI run exits 0 with nothing on stderr and no
+        shared-memory segment left behind."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        before = _psm_segments()
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "repro.experiments", "--no-cache",
+                "--workers", "2", "--scale", "0.015625", "fig4", "fig9",
+            ],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert _psm_segments() - before == set()
 
 
 class TestParallelOracle:

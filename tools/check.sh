@@ -35,7 +35,8 @@ echo "== engine tests =="
 python -m pytest -x -q \
     tests/test_engine_parallel.py \
     tests/test_engine_cache.py \
-    tests/test_engine_determinism.py
+    tests/test_engine_determinism.py \
+    perfbench/tests
 
 echo
 echo "== chaos tests (fault injection) =="

@@ -119,10 +119,6 @@ def build() -> str:
         "naming its replacement; results through the shim stay bit-identical",
         "to the replacement path.  Current shims:",
         "",
-        "- `repro.platform.{utilization, idle_spans, critical_summary,",
-        "  render_gantt, validate_timeline, ResourceUtilization}` — moved to",
-        "  `repro.obs` (module `__getattr__` shim).",
-        "- `repro.platform.trace` — moved to `repro.obs.timeline_view`.",
         "- `MultiwayCcProblem(graph, machine, n_gpus=...)` /",
         "  `MultiwaySpmmProblem(a, machine, n_gpus=...)` — the legacy",
         "  2-device-machine signature; pass a `ClusterSpec` instead",
