@@ -33,14 +33,6 @@ Rules
     with a tolerance or restructure the test.
 ``ARG001``
     No mutable default arguments (``[]``, ``{}``, ``set()``, ...) anywhere.
-``API002``
-    No deprecated 2-device cluster construction outside its shim home:
-    passing ``n_gpus=`` to ``MultiwayCcProblem`` / ``MultiwaySpmmProblem``
-    (the legacy ``(machine, n_gpus)`` signature) anywhere but
-    ``repro/hetero``.  Build a :class:`~repro.platform.ClusterSpec`
-    (``ClusterSpec.from_machine(machine, n_gpus=...)`` prices
-    bit-identically) and pass that instead; the keyword survives only as
-    a ``DeprecationWarning`` shim (see docs/API.md's deprecation policy).
 ``API001``
     Every ``repro`` package ``__init__.py`` must declare ``__all__`` and
     list every public name it binds — top-level functions, classes,
@@ -110,7 +102,6 @@ RULES: dict[str, str] = {
     "FLT001": "== / != on a float expression in core/platform",
     "ARG001": "mutable default argument",
     "API001": "public name in a repro package __init__ missing from __all__",
-    "API002": "deprecated n_gpus= Multiway*Problem construction outside repro/hetero",
     "PERF001": "scalar evaluate_ms probe inside a loop over a threshold grid",
     "PERF002": "scalar Timeline run/overlap/record inside a loop in repro/hetero",
     "ENG001": "broad except in repro/engine that neither re-raises nor records",
@@ -150,14 +141,6 @@ ENG_SCOPES = ("repro/engine",)
 
 #: The one module allowed to touch numpy's RNG constructors directly.
 RNG_MODULE_SUFFIX = "repro/util/rng.py"
-
-#: The shim home of the deprecated (machine, n_gpus) Multiway signature:
-#: only code here may still spell ``n_gpus=`` at a Multiway*Problem call
-#: (API002) — everyone else passes a ClusterSpec.
-DEPRECATED_CLUSTER_SCOPES = ("repro/hetero",)
-
-#: Classes whose legacy ``n_gpus=`` keyword API002 polices.
-_MULTIWAY_CLASSES = frozenset({"MultiwayCcProblem", "MultiwaySpmmProblem"})
 
 _WALL_CLOCK = {
     "time.time",
@@ -311,10 +294,6 @@ class _Linter(ast.NodeVisitor):
         posix = path.replace("\\", "/")
         self.is_rng_module = posix.endswith(RNG_MODULE_SUFFIX)
         self.in_eng_scope = any(f"{s}/" in posix or posix.endswith(s) for s in ENG_SCOPES)
-        self.in_cluster_shim_scope = any(
-            f"{s}/" in posix or posix.endswith(s)
-            for s in DEPRECATED_CLUSTER_SCOPES
-        )
         self.in_sim_scope = any(f"{s}/" in posix or posix.endswith(s) for s in SIM_SCOPES)
         self.in_flt_scope = any(f"{s}/" in posix or posix.endswith(s) for s in FLT_SCOPES)
         self.in_perf_scope = any(f"{s}/" in posix or posix.endswith(s) for s in PERF_SCOPES)
@@ -503,19 +482,6 @@ class _Linter(ast.NodeVisitor):
                     node,
                     f"{name}() mutates global RNG state; seed an explicit "
                     "Generator instead",
-                )
-            if (
-                name.split(".")[-1] in _MULTIWAY_CLASSES
-                and not self.in_cluster_shim_scope
-                and any(kw.arg == "n_gpus" for kw in node.keywords)
-            ):
-                self._add(
-                    "API002",
-                    node,
-                    f"{name.split('.')[-1]}(..., n_gpus=...) uses the "
-                    "deprecated 2-device signature; pass a ClusterSpec "
-                    "(ClusterSpec.from_machine(machine, n_gpus=...) prices "
-                    "bit-identically)",
                 )
             wall_name = self._wall_clock_aliases.get(name, name)
             if wall_name in _WALL_CLOCK and self.in_sim_scope:

@@ -148,6 +148,32 @@ def n_cuts_of(problem) -> int:
     return int(n)
 
 
+def shares_for_cuts(cuts: Sequence[float]) -> tuple[float, ...]:
+    """Per-device shares (fractions) implied by a cumulative percent cut vector."""
+    bounds = [0.0, *(float(c) for c in cuts), 100.0]
+    return tuple(
+        (bounds[i + 1] - bounds[i]) / 100.0 for i in range(len(bounds) - 1)
+    )
+
+
+def cuts_for_shares(shares: Sequence[float], n_devices: int) -> tuple[float, ...]:
+    """Cumulative percent cut vector giving each device its requested share.
+
+    *shares* has one entry per device (CPU first); it is clipped
+    non-negative and renormalized, so any positive vector is a valid
+    target (an all-zero one means equal shares).
+    """
+    if len(shares) != n_devices:
+        raise ValidationError(f"expected {n_devices} shares, got {len(shares)}")
+    vals = np.clip(np.asarray(shares, dtype=np.float64), 0.0, None)
+    total = float(vals.sum())
+    if total <= 0.0:
+        vals = np.full(vals.shape, 1.0)
+        total = float(vals.sum())
+    cum = np.cumsum(vals / total)[:-1] * 100.0
+    return tuple(float(min(max(c, 0.0), 100.0)) for c in cum)
+
+
 def _descend(
     problem,
     start: Sequence[float] | None,

@@ -25,8 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.hetero.spmm import SpmmProblem, _BYTES_PER_NNZ
-from repro.platform.costmodel import PROFILE_SPGEMM, effective_rate_per_ms
+from repro.hetero.spmm import SpmmProblem
 from repro.platform.timeline import Timeline
 from repro.util.errors import ValidationError
 
@@ -55,8 +54,9 @@ def simulate_dynamic_spmm(
 ) -> DynamicScheduleResult:
     """Greedy earliest-free-device scheduling of contiguous row chunks.
 
-    Chunk costs come from the same cost model the static split uses, so
-    the comparison isolates the *scheduling policy*:
+    Chunk costs come from the same cost model and kernel profile the
+    static split uses (:meth:`SpmmProblem._chunk_ms`), so the comparison
+    isolates the *scheduling policy*:
 
     * CPU chunk: chunk FLOPs at the CPU's aggregate SpGEMM rate plus one
       parallel-region launch;
@@ -72,18 +72,15 @@ def simulate_dynamic_spmm(
     if chunk_rows < 1:
         raise ValidationError("chunk_rows must be >= 1")
     n = problem.a.n_rows
-    flop_prefix = problem._flop_prefix
-    padded_prefix = problem._padded_prefix
-    cpu_rate = effective_rate_per_ms(problem.machine.cpu, PROFILE_SPGEMM)
-    gpu_rate = effective_rate_per_ms(problem.machine.gpu, PROFILE_SPGEMM)
-    cpu_launch = problem.machine.cpu.kernel_launch_us * 1e-3
-    gpu_launch = problem.machine.gpu.kernel_launch_us * 1e-3
-
+    machine = problem.machine
     # Per-chunk dispatch: one queue operation plus a host<->device round
     # trip.  Chunks are issued serially by the host.
-    dispatch_cost = cpu_launch + 2.0 * problem.machine.link.latency_us * 1e-3
+    dispatch_cost = (
+        machine.cpu.kernel_launch_us * 1e-3 + 2.0 * machine.link.latency_us * 1e-3
+    )
 
     bounds = list(range(0, n, chunk_rows)) + [n]
+    cpu_ms, gpu_ms = problem._chunk_ms(np.asarray(bounds))
     tl = Timeline()
     cpu_free = 0.0
     gpu_free = 0.0
@@ -97,16 +94,10 @@ def simulate_dynamic_spmm(
     labels: list[str] = []
     starts: list[float] = []
     costs: list[float] = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
+    for lo, hi, cpu_cost, gpu_cost in zip(
+        bounds[:-1], bounds[1:], cpu_ms.tolist(), gpu_ms.tolist()
+    ):
         dispatcher += dispatch_cost
-        flops = float(flop_prefix[hi] - flop_prefix[lo])
-        cpu_cost = flops / cpu_rate + cpu_launch
-        padded = float(padded_prefix[hi] - padded_prefix[lo])
-        mults = flops / 2.0
-        d2h = problem.machine.transfer_ms(
-            mults * problem._compression * _BYTES_PER_NNZ
-        )
-        gpu_cost = padded / gpu_rate + gpu_launch + d2h
         # Greedy: the device that would *finish* this chunk first takes it;
         # neither can start before the dispatcher reaches the chunk.
         cpu_start = max(cpu_free, dispatcher)

@@ -21,10 +21,12 @@ ranges by a *threshold vector* of cumulative percentages.
   1-D search with the others held fixed, repeated until no coordinate
   moves — the natural vector generalization of the paper's 1-D searches.
 
-The pre-cluster constructor shape — a 2-device
-:class:`~repro.platform.machine.HeterogeneousMachine` plus an ``n_gpus``
-copy count — still works as a deprecated shim and prices bit-identically
-to the equivalent :meth:`ClusterSpec.from_machine` cluster.
+Problems are built from a :class:`ClusterSpec` only;
+:meth:`ClusterSpec.from_machine` widens a 2-device machine.  Unlike the
+spmm pair, a ``p = 2`` cluster does not price exactly like
+:class:`~repro.hetero.cc.CcProblem`: the accelerator's Shiloach-Vishkin
+sweep here counts its range's whole adjacency volume (cross edges
+included), where the scalar problem counts internal edges only.
 
 Pricing needs "edges within [a, b)" for arbitrary percent ranges; a
 :class:`RangeCutProfile` precomputes a 2-D dominance count over the
@@ -34,12 +36,12 @@ Pricing needs "edges within [a, b)" for arbitrary percent ranges; a
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from repro.core.cut_vector import cuts_for_shares, shares_for_cuts
 from repro.graphs.graph import Graph
 from repro.graphs.shiloach_vishkin import (
     SvResult,
@@ -59,49 +61,17 @@ from repro.platform.costmodel import (
     PROFILE_MERGE,
     effective_rate_per_ms,
 )
-from repro.platform.machine import HeterogeneousMachine
 from repro.platform.timeline import Timeline
 from repro.util.errors import ValidationError
 from repro.util.rng import RngLike, as_generator
 
-#: Accelerator count the deprecated machine+``n_gpus`` constructor shape
-#: defaulted to before clusters existed.
-_LEGACY_DEFAULT_GPUS = 2
-
-
-def _coerce_problem_cluster(
-    cluster: HeterogeneousMachine | ClusterSpec,
-    n_gpus: int | None,
-    class_name: str,
-) -> ClusterSpec:
-    """Shared constructor shim for the multiway problems.
-
-    A :class:`ClusterSpec` passes through (``n_gpus`` must then be absent
-    or agree with its shape); the legacy machine+``n_gpus`` form widens
-    via :meth:`ClusterSpec.from_machine` under a :class:`DeprecationWarning`
-    — same spec objects, so pricing stays bit-identical.
-    """
-    if isinstance(cluster, ClusterSpec):
-        if n_gpus is not None and n_gpus != cluster.n_devices - 1:
-            raise ValidationError(
-                f"n_gpus={n_gpus} conflicts with cluster "
-                f"{cluster.name!r} of {cluster.n_devices - 1} accelerators"
-            )
-    elif isinstance(cluster, HeterogeneousMachine):
-        warnings.warn(
-            f"constructing {class_name} from a HeterogeneousMachine "
-            "(+ n_gpus) is deprecated; pass a repro.platform.ClusterSpec "
-            "(ClusterSpec.from_machine widens a 2-device machine)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        cluster = ClusterSpec.from_machine(
-            cluster, n_gpus=_LEGACY_DEFAULT_GPUS if n_gpus is None else n_gpus
-        )
-    else:
+def _gpu_cluster(cluster: ClusterSpec, class_name: str) -> ClusterSpec:
+    """Check a multiway problem's platform: a cluster of GPU accelerators."""
+    if not isinstance(cluster, ClusterSpec):
         raise ValidationError(
-            f"expected ClusterSpec or HeterogeneousMachine, got "
-            f"{type(cluster).__name__}"
+            f"{class_name} needs a ClusterSpec, got {type(cluster).__name__}; "
+            "ClusterSpec.from_machine(machine, n_gpus=...) widens a 2-device "
+            "machine"
         )
     for d in cluster.accelerators:
         if d.kind != "gpu":
@@ -109,6 +79,7 @@ def _coerce_problem_cluster(
                 f"{class_name} accelerators must be GPUs, got {d.kind!r}"
             )
     return cluster
+
 
 _INDEX = np.int64
 _BYTES_PER_VERTEX = 8
@@ -215,21 +186,18 @@ class MultiwayCcProblem:
     """Connected components across the devices of a :class:`ClusterSpec`.
 
     Device 0 (the host CPU) runs the DFS-style range; every accelerator
-    runs Shiloach-Vishkin on its own range, priced on its *own* spec.  The
-    deprecated 2-device form — a :class:`HeterogeneousMachine` plus an
-    ``n_gpus`` copy count — still works and prices bit-identically.
+    runs Shiloach-Vishkin on its own range, priced on its *own* spec.
     """
 
     def __init__(
         self,
         graph: Graph,
-        cluster: HeterogeneousMachine | ClusterSpec,
-        n_gpus: int | None = None,
+        cluster: ClusterSpec,
         name: str = "multiway-cc",
         vertex_weights: np.ndarray | None = None,
         work_scale: float = 1.0,
     ) -> None:
-        cluster = _coerce_problem_cluster(cluster, n_gpus, "MultiwayCcProblem")
+        cluster = _gpu_cluster(cluster, "MultiwayCcProblem")
         if work_scale <= 0:
             raise ValidationError("work_scale must be positive")
         self.graph = graph
@@ -508,32 +476,13 @@ class MultiwayCcProblem:
 
     def device_shares_at(self, thresholds: Sequence[float]) -> tuple[float, ...]:
         """Per-device vertex shares implied by a cumulative cut vector."""
-        cuts = self._check_vector(thresholds)
-        bounds = [0.0, *(float(c) for c in cuts), 100.0]
-        return tuple(
-            (bounds[i + 1] - bounds[i]) / 100.0 for i in range(len(bounds) - 1)
-        )
+        return shares_for_cuts(self._check_vector(thresholds))
 
     def thresholds_for_device_shares(
         self, shares: Sequence[float]
     ) -> tuple[float, ...]:
-        """Cumulative cut vector giving each device its requested share.
-
-        *shares* has one entry per device (CPU first); it is clipped
-        non-negative and renormalized, so any positive vector is a valid
-        target.
-        """
-        if len(shares) != self.n_gpus + 1:
-            raise ValidationError(
-                f"expected {self.n_gpus + 1} shares, got {len(shares)}"
-            )
-        vals = np.clip(np.asarray(shares, dtype=np.float64), 0.0, None)
-        total = float(vals.sum())
-        if total <= 0.0:
-            vals = np.full(vals.shape, 1.0)
-            total = float(vals.sum())
-        cum = np.cumsum(vals / total)[:-1] * 100.0
-        return tuple(float(min(max(c, 0.0), 100.0)) for c in cum)
+        """Cumulative cut vector giving each device its requested share."""
+        return cuts_for_shares(shares, self.n_gpus + 1)
 
     # -- real execution -------------------------------------------------------------------
 

@@ -3,17 +3,21 @@
 The work-share axis generalizes directly: a threshold vector
 ``(c_1, …, c_{p-1})`` of cumulative work-share percentages gives the CPU
 the rows carrying work ``[0, c_1)`` percent and accelerator ``i`` the rows
-carrying ``[c_i, c_{i+1})`` percent (the last one up to 100).  Pricing
-reuses the scalar problem's prefix machinery with each range priced on its
-own :class:`~repro.platform.device.DeviceSpec`; identify reuses the same
-cyclic coordinate descent as :mod:`repro.hetero.multiway_cc`.
+carrying ``[c_i, c_{i+1})`` percent (the last one up to 100).  This module
+only turns the vector into row cuts: pricing, the Phase-II timeline,
+execution and round blocks are the scalar
+:class:`~repro.hetero.spmm.SpmmProblem`'s row-range methods run on the
+cluster, each range priced on its own
+:class:`~repro.platform.device.DeviceSpec`.  A ``p = 2`` cluster built by
+:meth:`ClusterSpec.from_machine` therefore prices exactly like the scalar
+problem on that machine.  Identify reuses the cyclic coordinate descent of
+:mod:`repro.core.cut_vector`.
 
 Result slabs ship back over the cluster's interconnect: under the
 ``"shared"`` topology every transfer serializes on one link (one more
 reason adding GPUs has diminishing returns for output-heavy products);
 under ``"dedicated"`` each accelerator streams on its own link and the
-transfers overlap.  The deprecated machine+``n_gpus`` constructor shape is
-the ``"shared"`` homogeneous special case and prices bit-identically.
+transfers overlap.
 """
 
 from __future__ import annotations
@@ -23,19 +27,15 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.hetero.multiway_cc import _coerce_problem_cluster
-from repro.hetero.spmm import _BYTES_PER_NNZ, SpmmProblem
+from repro.core.cut_vector import cuts_for_shares, shares_for_cuts
+from repro.hetero.multiway_cc import _gpu_cluster
+from repro.hetero.spmm import SpmmProblem
 from repro.platform.cluster import ClusterSpec
-from repro.platform.costmodel import effective_rate_per_ms
 from repro.platform.machine import HeterogeneousMachine
 from repro.platform.timeline import Timeline
 from repro.sparse.csr import CsrMatrix
-from repro.sparse.ops import vstack
-from repro.sparse.spgemm import spgemm
 from repro.util.errors import ValidationError
 from repro.util.rng import RngLike
-
-_INDEX = np.int64
 
 
 @dataclass(frozen=True)
@@ -55,22 +55,20 @@ class MultiwaySpmmRunResult:
 class MultiwaySpmmProblem:
     """``A x A`` across the devices of a :class:`ClusterSpec`.
 
-    Wraps a scalar :class:`SpmmProblem` for all per-row precomputation; the
-    vector threshold only changes how its prefix arrays are cut, and each
-    range prices on its own device spec.  The deprecated 2-device form — a
-    :class:`HeterogeneousMachine` plus an ``n_gpus`` copy count — still
-    works and prices bit-identically.
+    Wraps a scalar :class:`SpmmProblem` for all per-row precomputation and
+    pricing; the vector threshold only changes how its prefix arrays are
+    cut.  Accelerator ``i`` traces on lane ``gpu{i}`` and its result
+    transfer on the interconnect's resource for device ``i + 1``.
     """
 
     def __init__(
         self,
         a: CsrMatrix,
-        cluster: HeterogeneousMachine | ClusterSpec,
-        n_gpus: int | None = None,
+        cluster: ClusterSpec,
         name: str = "multiway-spmm",
         base: SpmmProblem | None = None,
     ) -> None:
-        cluster = _coerce_problem_cluster(cluster, n_gpus, "MultiwaySpmmProblem")
+        cluster = _gpu_cluster(cluster, "MultiwaySpmmProblem")
         warp_sizes = {d.warp_size for d in cluster.accelerators}
         if len(warp_sizes) != 1:
             raise ValidationError(
@@ -96,6 +94,16 @@ class MultiwaySpmmProblem:
                 name=name,
             )
         self.machine = self._base.machine
+        ic = cluster.interconnect
+        self._lanes = tuple(
+            (
+                f"gpu{i}",
+                f"phase2/spgemm-gpu{i}",
+                ic.resource_for(i + 1),
+                f"phase2/d2h-gpu{i}",
+            )
+            for i in range(self.n_gpus)
+        )
 
     @property
     def a(self) -> CsrMatrix:
@@ -137,72 +145,14 @@ class MultiwaySpmmProblem:
 
     # -- pricing -------------------------------------------------------------------
 
-    def _gpu_range_ms(self, device: int, lo: int, hi: int) -> float:
-        """Accelerator *device* time for rows [lo, hi) (row-per-warp model)."""
-        if hi <= lo:
-            return 0.0
-        base = self._base
-        gpu = self.cluster.devices[device + 1]
-        padded = float(
-            base._rep_padded_prefix[hi] - base._rep_padded_prefix[lo]
-        )
-        rate = effective_rate_per_ms(gpu, base.profile)
-        throughput = padded / rate
-        warp_rate = rate * gpu.warp_size / gpu.cores
-        straggler = base.row_scale * float(base._flop_suffix_max[lo]) / warp_rate
-        return max(throughput, straggler) + gpu.kernel_launch_us * 1e-3
-
-    def _pipeline(self, thresholds: Sequence[float]) -> Timeline:
-        splits = self.split_rows(thresholds)
-        n = self.a.n_rows
-        bounds = [0, *splits, n]
-        tl = Timeline()
-        if n == 0:
-            return tl
-        tasks = []
-        cpu_rows = bounds[1]
-        if cpu_rows > 0:
-            tasks.append(("cpu", "phase2/spgemm-cpu", self._base._cpu_ms(cpu_rows)))
-        for i in range(self.n_gpus):
-            lo, hi = bounds[i + 1], bounds[i + 2]
-            ms = self._gpu_range_ms(i, lo, hi)
-            if ms > 0:
-                tasks.append((f"gpu{i}", f"phase2/spgemm-gpu{i}", ms))
-        tl.overlap(tasks)
-        # Result slabs ship back: serialized on one "pcie" resource under
-        # the shared topology, overlapped on per-device links otherwise.
-        base = self._base
-        ic = self.cluster.interconnect
-        transfers = []
-        for i in range(self.n_gpus):
-            lo, hi = bounds[i + 1], bounds[i + 2]
-            if hi <= lo:
-                continue
-            mults = (base._rep_flop_prefix[hi] - base._rep_flop_prefix[lo]) / 2.0
-            nbytes = mults * base._compression * _BYTES_PER_NNZ
-            transfers.append(
-                (
-                    ic.resource_for(i + 1),
-                    f"phase2/d2h-gpu{i}",
-                    self.cluster.link_for(i + 1).transfer_ms(nbytes),
-                )
-            )
-        if ic.topology == "shared":
-            # Serialized on the one shared link: one batched sequential append.
-            tl.run_many(transfers)
-        elif transfers:
-            tl.overlap(transfers)
-        return tl
-
     def evaluate_ms(self, thresholds: Sequence[float]) -> float:
-        return self._pipeline(thresholds).total_ms
+        return self.timeline(thresholds).total_ms
 
     def evaluate_many(self, threshold_vectors: np.ndarray) -> np.ndarray:
         """Batched :meth:`evaluate_ms` over rows of threshold vectors.
 
-        Shape ``(batch, n_gpus)`` in, per-row makespans out.  All device
-        times and transfer sizes are gathers into the base problem's
-        pricing tables, so the batch prices without any per-row Python.
+        Shape ``(batch, n_gpus)`` in, per-row makespans out, priced by the
+        base problem's batched row-range pricing.
         """
         vs = np.asarray(threshold_vectors, dtype=np.float64)
         if vs.ndim != 2 or vs.shape[1] != self.n_gpus:
@@ -210,70 +160,17 @@ class MultiwaySpmmProblem:
                 f"expected threshold vectors of shape (batch, {self.n_gpus}), "
                 f"got {vs.shape}"
             )
-        batch = vs.shape[0]
-        if batch == 0:
-            return np.zeros(0, dtype=np.float64)
         if vs.size and (float(vs.min()) < 0.0 or float(vs.max()) > 100.0):
             raise ValidationError("thresholds must be in [0, 100]")
         if bool(np.any(np.diff(vs, axis=1) < 0)):
             raise ValidationError("thresholds must be non-decreasing")
-        n = self.a.n_rows
-        if n == 0:
-            return np.zeros(batch, dtype=np.float64)
-        base = self._base
-        splits = base._split_many(vs / 100.0)
-        bounds = np.concatenate(
-            (
-                np.zeros((batch, 1), dtype=_INDEX),
-                splits,
-                np.full((batch, 1), n, dtype=_INDEX),
-            ),
-            axis=1,
-        )
-        cpu = self.cluster.devices[0]
-        rate_c = effective_rate_per_ms(cpu, base.profile)
-        threads = cpu.threads
-        cpu_rows = bounds[:, 1]
-        cpu_work = base._rep_flop_prefix[cpu_rows]
-        cpu_atom = base.row_scale * base._flop_prefix_max[cpu_rows]
-        cpu_ms = (
-            np.maximum(cpu_work / threads, cpu_atom) / (rate_c / threads)
-            + cpu.kernel_launch_us * 1e-3
-        )
-        longest = np.where(cpu_rows > 0, cpu_ms, 0.0)
-        for i in range(self.n_gpus):
-            gpu = self.cluster.devices[i + 1]
-            rate_g = effective_rate_per_ms(gpu, base.profile)
-            warp_rate = rate_g * gpu.warp_size / gpu.cores
-            lo, hi = bounds[:, i + 1], bounds[:, i + 2]
-            padded = base._rep_padded_prefix[hi] - base._rep_padded_prefix[lo]
-            straggler = base.row_scale * base._flop_suffix_max[lo] / warp_rate
-            gpu_ms = (
-                np.maximum(padded / rate_g, straggler)
-                + gpu.kernel_launch_us * 1e-3
-            )
-            longest = np.maximum(longest, np.where(hi > lo, gpu_ms, 0.0))
-        # Result slabs: the shared topology serializes transfers on one
-        # link (cursor adds); dedicated links overlap (max).
-        shared = self.cluster.interconnect.topology == "shared"
-        total = longest
-        slowest = np.zeros_like(longest)
-        for i in range(self.n_gpus):
-            lo, hi = bounds[:, i + 1], bounds[:, i + 2]
-            mults = (base._rep_flop_prefix[hi] - base._rep_flop_prefix[lo]) / 2.0
-            nbytes = mults * base._compression * _BYTES_PER_NNZ
-            d2h = self.cluster.link_for(i + 1).transfer_ms_many(nbytes)
-            masked = np.where(hi > lo, d2h, 0.0)
-            if shared:
-                total = total + masked
-            else:
-                slowest = np.maximum(slowest, masked)
-        if not shared:
-            total = total + slowest
-        return total
+        splits = self._base._split_many(vs / 100.0)
+        return self._base._cut_prices(self.cluster, splits)
 
     def timeline(self, thresholds: Sequence[float]) -> Timeline:
-        return self._pipeline(thresholds)
+        return self._base._cut_timeline(
+            self.cluster, self.split_rows(thresholds), self._lanes
+        )
 
     def coordinate_grid(self) -> np.ndarray:
         return np.arange(0.0, 101.0)
@@ -306,72 +203,32 @@ class MultiwaySpmmProblem:
 
     def round_block(self, lo: int, hi: int) -> "MultiwaySpmmProblem":
         """The contiguous row block ``[lo, hi)`` on the same cluster."""
-        if not 0 <= lo < hi <= self.a.n_rows:
-            raise ValidationError(f"bad row block [{lo}, {hi})")
-        sub = self.a.row_slice(lo, hi)
-        base = SpmmProblem(
-            sub,
-            self.machine,
-            b=self._base.b,
-            name=f"{self.name}/rows[{lo}:{hi})",
-            compression=self._base._compression,
-            sampling_method=self._base.sampling_method,
-            profile=self._base.profile,
-        )
+        block = self._base.round_block(lo, hi)
         return MultiwaySpmmProblem(
-            sub,
+            block.a,
             self.cluster,
             name=f"{self.name}/rows[{lo}:{hi})",
-            base=base,
+            base=block,
         )
 
     def device_shares_at(self, thresholds: Sequence[float]) -> tuple[float, ...]:
         """Per-device work shares implied by a cumulative cut vector."""
-        cuts = self._check_vector(thresholds)
-        bounds = [0.0, *cuts, 100.0]
-        return tuple(
-            (bounds[i + 1] - bounds[i]) / 100.0 for i in range(len(bounds) - 1)
-        )
+        return shares_for_cuts(self._check_vector(thresholds))
 
     def thresholds_for_device_shares(
         self, shares: Sequence[float]
     ) -> tuple[float, ...]:
-        """Cumulative cut vector giving each device its requested share.
-
-        *shares* has one entry per device (CPU first); it is clipped
-        non-negative and renormalized, so any positive vector is a valid
-        target.
-        """
-        if len(shares) != self.n_gpus + 1:
-            raise ValidationError(
-                f"expected {self.n_gpus + 1} shares, got {len(shares)}"
-            )
-        vals = np.clip(np.asarray(shares, dtype=np.float64), 0.0, None)
-        total = float(vals.sum())
-        if total <= 0.0:
-            vals = np.full(vals.shape, 1.0)
-            total = float(vals.sum())
-        cum = np.cumsum(vals / total)[:-1] * 100.0
-        return tuple(float(min(max(c, 0.0), 100.0)) for c in cum)
+        """Cumulative cut vector giving each device its requested share."""
+        return cuts_for_shares(shares, self.n_gpus + 1)
 
     # -- real execution -----------------------------------------------------------------
 
     def run(self, thresholds: Sequence[float]) -> MultiwaySpmmRunResult:
         """Execute the partitioned product and concatenate the slabs."""
         splits = self.split_rows(thresholds)
-        n = self.a.n_rows
-        bounds = [0, *splits, n]
-        parts = []
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            lo, hi = min(lo, n), min(hi, n)
-            if hi > lo:
-                parts.append(spgemm(self.a.row_slice(lo, hi), self._base.b))
-        product = parts[0] if parts else spgemm(self.a, self._base.b)
-        for p in parts[1:]:
-            product = vstack(product, p)
         return MultiwaySpmmRunResult(
             thresholds=tuple(float(t) for t in thresholds),
             split_rows=tuple(splits),
-            product=product,
-            timeline=self._pipeline(thresholds),
+            product=self._base._cut_product(splits),
+            timeline=self._base._cut_timeline(self.cluster, splits, self._lanes),
         )

@@ -19,11 +19,18 @@ Section IV identify probe (:meth:`race_probe`).  Sampled instances price
 the full instance they represent (represented-work arrays with true
 per-row atomicity floors); three samplers are available — the paper's
 principal submatrix plus row and importance-row variants.
+
+The pricing, timeline and execution code works on a list of row cuts over
+a :class:`~repro.platform.cluster.ClusterSpec`, so the CPU+GPU split is
+the ``p = 2`` case of one kernel: this problem runs it on its 2-device
+view with one cut, and :class:`~repro.hetero.multiway_spmm.MultiwaySpmmProblem`
+runs the same methods on a ``p``-device cluster with a cut vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -36,6 +43,7 @@ from repro.platform.costmodel import (
     gpu_row_per_warp_time_many,
 )
 from repro.platform.cluster import ClusterSpec, coerce_machine
+from repro.platform.device import DeviceSpec
 from repro.platform.machine import HeterogeneousMachine
 from repro.platform.timeline import SpanQueue, Timeline
 from repro.sparse.csr import CsrMatrix
@@ -49,8 +57,10 @@ _INDEX = np.int64
 
 #: Bytes per CSR nonzero on the wire (int64 index + float64 value).
 _BYTES_PER_NNZ = 16
-#: Bytes per row pointer / row of the output dense accumulator metadata.
-_BYTES_PER_ROW = 8
+
+#: Trace lanes of the one accelerator: compute resource and label, then
+#: result-transfer resource and label (DynamicRebalance reads these).
+_SCALAR_LANES = (("gpu", "phase2/spgemm-gpu", "pcie", "phase2/d2h-result"),)
 
 #: Streaming gather of sampled rows plus column filtering during sample
 #: construction (same rationale as the CC edge scan).
@@ -109,6 +119,8 @@ class SpmmProblem:
         self.b = b if b is not None else a
         # A 2-device ClusterSpec works anywhere the legacy machine does.
         self.machine = coerce_machine(machine)
+        # The p=2 cut-vector view every pricing path runs on.
+        self._cluster = ClusterSpec.from_machine(self.machine)
         self.name = name
         self.sampling_method = sampling_method
         # Scaled identify pricing (see CcProblem): a sampled instance prices
@@ -213,48 +225,28 @@ class SpmmProblem:
     # -- PartitionProblem protocol ----------------------------------------------------
 
     def evaluate_ms(self, threshold: float) -> float:
-        return self._pipeline(threshold).total_ms
+        return self.timeline(threshold).total_ms
 
     def evaluate_many(self, thresholds: np.ndarray) -> np.ndarray:
         """Batched :meth:`evaluate_ms`: one gather over the pricing tables.
 
         Splits come from the cached represented-work prefix
-        (:meth:`_split_many`); device times from
-        :class:`~repro.platform.costmodel.PricingTables` aggregates fed to
-        the vectorized cost models.  Mirrors the scalar float64 arithmetic
-        operation for operation (docs/PERFORMANCE.md).
+        (:meth:`_split_many`); makespans from :meth:`_cut_prices`, which
+        mirrors the scalar float64 arithmetic operation for operation
+        (docs/PERFORMANCE.md).
         """
         ts = np.asarray(thresholds, dtype=np.float64)
         if ts.size == 0:
             return np.zeros(0, dtype=np.float64)
         if float(ts.min()) < 0.0 or float(ts.max()) > 100.0:
             raise ValidationError("thresholds must be in [0, 100]")
-        n = self.a.n_rows
-        if n == 0:
-            return np.zeros(ts.shape, dtype=np.float64)
-        split = self._split_many(ts / 100.0)
-
-        cpu_work = self._rep_flop_prefix[split]
-        cpu_atom = self.row_scale * self._flop_prefix_max[split]
-        cpu_ms = cpu_chunked_time_many(
-            cpu_work, cpu_atom, self.machine.cpu, self.profile
-        )
-        padded_work = self._rep_padded_prefix[n] - self._rep_padded_prefix[split]
-        straggler = self.row_scale * self._flop_suffix_max[split]
-        gpu_ms = gpu_row_per_warp_time_many(
-            padded_work, straggler, self.machine.gpu, self.profile
-        )
-        longest = np.maximum(
-            np.where(split > 0, cpu_ms, 0.0), np.where(split < n, gpu_ms, 0.0)
-        )
-
-        gpu_mults = (self._rep_flop_prefix[n] - self._rep_flop_prefix[split]) / 2.0
-        c2_bytes = gpu_mults * self._compression * _BYTES_PER_NNZ
-        d2h = self.machine.transfer_ms_many(c2_bytes)
-        return longest + np.where(split < n, d2h, 0.0)
+        splits = self._split_many(ts.reshape(-1, 1) / 100.0)
+        return self._cut_prices(self._cluster, splits).reshape(ts.shape)
 
     def timeline(self, threshold: float) -> Timeline:
-        return self._pipeline(threshold)
+        return self._cut_timeline(
+            self._cluster, [self.split_row(threshold)], _SCALAR_LANES
+        )
 
     def threshold_grid(self) -> np.ndarray:
         return np.arange(0.0, 101.0)
@@ -388,8 +380,9 @@ class SpmmProblem:
         ``r = rate_cpu / (rate_cpu + rate_gpu)``.  Cost is the winner's
         runtime (the race stops there).
         """
-        cpu_ms = self._cpu_ms(self.a.n_rows)
-        gpu_ms = self._gpu_ms(0)
+        n = self.a.n_rows
+        cpu_ms = self._cpu_ms(self.machine.cpu, n)
+        gpu_ms = self._gpu_ms(self.machine.gpu, 0, n)
         if cpu_ms <= 0 and gpu_ms <= 0:
             return 50.0, 0.0
         if cpu_ms <= 0:
@@ -408,66 +401,163 @@ class SpmmProblem:
         )
         return threshold, min(cpu_ms, gpu_ms) / mean_rep
 
-    # -- analytic pricing ---------------------------------------------------------------
+    # -- row-range pricing: one kernel for 2 and p devices ----------------------------
+    # Row cuts on a ClusterSpec: the CPU owns rows [0, cuts[0]), accelerator
+    # i owns [cuts[i], cuts[i + 1]), the last one up to n.
 
-    def _cpu_ms(self, split: int) -> float:
-        """CPU time for rows [0, split): work-balanced chunks, row atomicity.
+    def _cpu_ms(self, cpu: DeviceSpec, hi: int) -> float:
+        """CPU time for rows [0, hi): work-balanced chunks, row atomicity.
 
         Sampled instances price the represented full instance: totals scale
         by ``work_scale``, a single row's atomicity floor by ``row_scale``.
         """
-        if split <= 0:
+        if hi <= 0:
             return 0.0
-        rate = effective_rate_per_ms(self.machine.cpu, self.profile)
-        work = float(self._rep_flop_prefix[split])
-        threads = self.machine.cpu.threads
-        atom = self.row_scale * float(self._flop_prefix_max[split])
+        rate = effective_rate_per_ms(cpu, self.profile)
+        work = float(self._rep_flop_prefix[hi])
+        threads = cpu.threads
+        atom = self.row_scale * float(self._flop_prefix_max[hi])
         heaviest = max(work / threads, atom)
-        return heaviest / (rate / threads) + self.machine.cpu.kernel_launch_us * 1e-3
+        return heaviest / (rate / threads) + cpu.kernel_launch_us * 1e-3
 
-    def _gpu_ms(self, split: int) -> float:
-        """GPU time for rows [split, n): row-per-warp model (scaled)."""
-        n = self.a.n_rows
-        if split >= n:
+    def _gpu_ms(self, gpu: DeviceSpec, lo: int, hi: int) -> float:
+        """Accelerator time for rows [lo, hi): row-per-warp model (scaled).
+
+        The straggler floor is the heaviest row of the whole suffix
+        ``[lo, n)``, not only of the range.
+        """
+        if hi <= lo:
             return 0.0
-        gpu = self.machine.gpu
-        padded_work = float(
-            self._rep_padded_prefix[n] - self._rep_padded_prefix[split]
-        )
+        padded_work = float(self._rep_padded_prefix[hi] - self._rep_padded_prefix[lo])
         rate = effective_rate_per_ms(gpu, self.profile)
         throughput = padded_work / rate
         warp_rate = rate * gpu.warp_size / gpu.cores
-        straggler = (
-            self.row_scale * float(self._flop_suffix_max[split]) / warp_rate
-        )
+        straggler = self.row_scale * float(self._flop_suffix_max[lo]) / warp_rate
         return max(throughput, straggler) + gpu.kernel_launch_us * 1e-3
 
-    def _pipeline(self, threshold: float) -> Timeline:
-        split = self.split_row(threshold)
+    def _result_bytes(self, lo, hi):
+        """Bytes of result rows [lo, hi) (ints or aligned index arrays)."""
+        mults = (self._rep_flop_prefix[hi] - self._rep_flop_prefix[lo]) / 2.0
+        return mults * self._compression * _BYTES_PER_NNZ
+
+    def _cut_timeline(
+        self,
+        cluster: ClusterSpec,
+        cuts: Sequence[int],
+        lanes: Sequence[tuple[str, str, str, str]],
+    ) -> Timeline:
+        """Phase II for row *cuts* on *cluster*.
+
+        ``lanes[i]`` names accelerator ``i``'s compute resource and label,
+        then its result-transfer resource and label.
+        """
         n = self.a.n_rows
         tl = Timeline()
         if n == 0:
             return tl
         # Operands are dual-resident (host and device copies made at load
         # time, as the hybrid implementation in [22] keeps them); only the
-        # GPU's result rows cross PCIe during the run.  Phase I (the load
-        # vector, Algorithm 2 lines 1-3) is threshold-independent and
-        # computed once per instance, so it is instance setup rather than
-        # per-run cost — see :meth:`phase1_setup_ms`.
+        # accelerators' result rows cross the link during the run.  Phase I
+        # (the load vector, Algorithm 2 lines 1-3) is threshold-independent
+        # and computed once per instance, so it is instance setup rather
+        # than per-run cost — see :meth:`phase1_setup_ms`.
+        bounds = [0, *cuts, n]
+        cpu_ms = self._cpu_ms(cluster.cpu, bounds[1])
+        tasks = [("cpu", "phase2/spgemm-cpu", cpu_ms)]
+        transfers = []
+        for i, (lane, label, link_lane, link_label) in enumerate(lanes):
+            lo, hi = bounds[i + 1], bounds[i + 2]
+            tasks.append((lane, label, self._gpu_ms(cluster.devices[i + 1], lo, hi)))
+            if hi > lo:
+                d2h = cluster.links[i].transfer_ms(self._result_bytes(lo, hi))
+                transfers.append((link_lane, link_label, d2h))
         # Overlapped multiplication (devices with no rows stay idle).
-        tasks = [
-            ("cpu", "phase2/spgemm-cpu", self._cpu_ms(split)),
-            ("gpu", "phase2/spgemm-gpu", self._gpu_ms(split)),
-        ]
         tl.overlap([t for t in tasks if t[2] > 0.0])
-        # Ship the GPU's result rows back and append on the CPU (line 7).
-        if split < n:
-            gpu_mults = (
-                self._rep_flop_prefix[n] - self._rep_flop_prefix[split]
-            ) / 2.0
-            c2_bytes = gpu_mults * self._compression * _BYTES_PER_NNZ
-            tl.run("pcie", "phase2/d2h-result", self.machine.transfer_ms(c2_bytes))
+        # Result slabs ship back and append on the CPU (line 7): serialized
+        # on one shared link, overlapped on dedicated ones (a lone transfer
+        # schedules the same either way).
+        if cluster.interconnect.topology == "shared" and len(transfers) > 1:
+            tl.run_many(transfers)
+        else:
+            tl.overlap(transfers)
         return tl
+
+    def _cut_prices(self, cluster: ClusterSpec, splits: np.ndarray) -> np.ndarray:
+        """Batched :meth:`_cut_timeline` makespans, one row of *splits* each.
+
+        *splits* has shape ``(batch, p - 1)``.  Device times and transfer
+        sizes are gathers into the pricing tables fed to the vectorized
+        cost models, so the batch prices without any per-row Python.
+        """
+        n = self.a.n_rows
+        batch = splits.shape[0]
+        if n == 0:
+            return np.zeros(batch, dtype=np.float64)
+        edge = np.zeros((batch, 1), dtype=_INDEX)
+        bounds = np.concatenate((edge, splits, edge + n), axis=1)
+        cpu_rows = bounds[:, 1]
+        cpu_ms = cpu_chunked_time_many(
+            self._rep_flop_prefix[cpu_rows],
+            self.row_scale * self._flop_prefix_max[cpu_rows],
+            cluster.cpu,
+            self.profile,
+        )
+        longest = np.where(cpu_rows > 0, cpu_ms, 0.0)
+        d2h = []
+        for i, (gpu, link) in enumerate(zip(cluster.accelerators, cluster.links)):
+            lo, hi = bounds[:, i + 1], bounds[:, i + 2]
+            gpu_ms = gpu_row_per_warp_time_many(
+                self._rep_padded_prefix[hi] - self._rep_padded_prefix[lo],
+                self.row_scale * self._flop_suffix_max[lo],
+                gpu,
+                self.profile,
+            )
+            longest = np.maximum(longest, np.where(hi > lo, gpu_ms, 0.0))
+            nbytes = self._result_bytes(lo, hi)
+            d2h.append(np.where(hi > lo, link.transfer_ms_many(nbytes), 0.0))
+        # A shared link serializes the transfers (the cursor adds them in
+        # order); dedicated links overlap them (the slowest one counts).
+        if cluster.interconnect.topology == "shared":
+            return sum(d2h, longest)
+        return longest + np.max(d2h, axis=0)
+
+    def _cut_product(self, cuts: Sequence[int]) -> CsrMatrix:
+        """Execute the partitioned product: one slab per non-empty range."""
+        n = self.a.n_rows
+        bounds = [0, *cuts, n]
+        slabs = [
+            spgemm(self.a.row_slice(lo, hi), self.b)
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+            if hi > lo
+        ]
+        product = slabs[0] if slabs else spgemm(self.a, self.b)
+        for slab in slabs[1:]:
+            product = vstack(product, slab)
+        return product
+
+    def _chunk_ms(self, cut: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """CPU and GPU time of each row chunk ``[cut[j], cut[j + 1])``.
+
+        Priced as a dynamic schedule runs chunks: a launch per chunk, and
+        a GPU chunk carries its own result transfer (a schedule that hands
+        chunks out at run time cannot batch the D2H copy).
+        """
+        cpu, gpu = self.machine.cpu, self.machine.gpu
+        flops = np.diff(self._flop_prefix[cut])
+        padded = np.diff(self._padded_prefix[cut])
+        d2h = self.machine.transfer_ms_many(
+            (flops / 2.0) * self._compression * _BYTES_PER_NNZ
+        )
+        cpu_ms = (
+            flops / effective_rate_per_ms(cpu, self.profile)
+            + cpu.kernel_launch_us * 1e-3
+        )
+        gpu_ms = (
+            padded / effective_rate_per_ms(gpu, self.profile)
+            + gpu.kernel_launch_us * 1e-3
+            + d2h
+        )
+        return cpu_ms, gpu_ms
 
     # -- rounds / work stealing (repro.hetero.dynamic_rebalance) -----------------------
 
@@ -515,10 +605,6 @@ class SpmmProblem:
             raise ValidationError("chunks must be >= 1")
         split = self.split_row(threshold)
         n = self.a.n_rows
-        cpu_rate = effective_rate_per_ms(self.machine.cpu, self.profile)
-        gpu_rate = effective_rate_per_ms(self.machine.gpu, self.profile)
-        cpu_launch = self.machine.cpu.kernel_launch_us * 1e-3
-        gpu_launch = self.machine.gpu.kernel_launch_us * 1e-3
 
         def bounds_for(lo: int, hi: int) -> np.ndarray:
             if hi <= lo:
@@ -537,21 +623,11 @@ class SpmmProblem:
             cut = bounds_for(lo, hi)
             if cut.size < 2:
                 return queue
-            flops = np.diff(self._flop_prefix[cut])
-            padded = np.diff(self._padded_prefix[cut])
-            d2h = self.machine.transfer_ms_many(
-                (flops / 2.0) * self._compression * _BYTES_PER_NNZ
-            )
+            cpu_ms, gpu_ms = self._chunk_ms(cut)
             labels = [
                 f"rows[{int(a)}:{int(b)})" for a, b in zip(cut[:-1], cut[1:])
             ]
-            queue.push_many(
-                labels,
-                {
-                    "cpu": flops / cpu_rate + cpu_launch,
-                    "gpu": padded / gpu_rate + gpu_launch + d2h,
-                },
-            )
+            queue.push_many(labels, {"cpu": cpu_ms, "gpu": gpu_ms})
             return queue
 
         return [build("cpu", 0, split), build("gpu", split, n)]
@@ -561,16 +637,11 @@ class SpmmProblem:
     def run(self, threshold: float) -> SpmmRunResult:
         """Execute Algorithm 2: two partial products, concatenated."""
         split = self.split_row(threshold)
-        a1 = self.a.row_slice(0, split)
-        a2 = self.a.row_slice(split, self.a.n_rows)
-        c1 = spgemm(a1, self.b)
-        c2 = spgemm(a2, self.b)
-        product = vstack(c1, c2)
         return SpmmRunResult(
             threshold=float(threshold),
             split_row=split,
-            product=product,
-            timeline=self._pipeline(threshold),
+            product=self._cut_product([split]),
+            timeline=self._cut_timeline(self._cluster, [split], _SCALAR_LANES),
         )
 
     # -- Figure-7 ablation hook -----------------------------------------------------------

@@ -44,7 +44,6 @@ from repro.platform.cluster import (
     Interconnect,
     balanced_partition_sizes,
     cluster_testbed,
-    coerce_cluster,
     coerce_machine,
     imbalance,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "ClusterSpec",
     "Interconnect",
     "cluster_testbed",
-    "coerce_cluster",
     "coerce_machine",
     "balanced_partition_sizes",
     "imbalance",

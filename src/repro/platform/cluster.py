@@ -196,9 +196,9 @@ class ClusterSpec:
         Returns ``p - 1`` non-decreasing cut percentages: device 0 owns
         ``[0, cut_1)``, device ``i`` owns ``[cut_i, cut_{i+1})``.  When the
         accelerators are identical this reduces to the legacy closed form
-        ``cpu_share + i * gpu_share`` (same floating-point expression, so
-        the ``p = 2``/homogeneous shims stay bit-identical); heterogeneous
-        accelerators take the general cumulative-share path.
+        ``cpu_share + i * gpu_share`` (the same floating-point expression,
+        so homogeneous clusters keep their cut values bit for bit);
+        heterogeneous accelerators take the general cumulative-share path.
         """
         peaks = [d.peak_gflops for d in self.devices]
         n_acc = len(peaks) - 1
@@ -245,9 +245,8 @@ class ClusterSpec:
         """Widen a 2-device machine to ``1 + n_gpus`` devices.
 
         Every accelerator is one more copy of the machine's GPU spec and
-        link — the shape the deprecated ``n_gpus=`` multiway constructors
-        modelled.  Spec objects are reused, not rebuilt, so any pricing
-        done through the cluster is bit-identical to the machine path.
+        link.  Spec objects are reused, not rebuilt, so any pricing done
+        through the cluster is bit-identical to the machine path.
         """
         if n_gpus < 1:
             raise ValidationError("n_gpus must be >= 1")
@@ -345,31 +344,6 @@ def coerce_machine(
                 "(use MultiwayCcProblem / MultiwaySpmmProblem for p > 2)"
             )
         return platform.as_machine()
-    raise ValidationError(
-        f"expected HeterogeneousMachine or ClusterSpec, got {type(platform).__name__}"
-    )
-
-
-def coerce_cluster(
-    platform: HeterogeneousMachine | ClusterSpec, *, n_gpus: int | None = None
-) -> ClusterSpec:
-    """Accept either platform type where a cluster is required.
-
-    A legacy machine widens via :meth:`ClusterSpec.from_machine` (with
-    *n_gpus* accelerator copies); a cluster passes through untouched, and
-    then *n_gpus* must be absent or agree with its shape.
-    """
-    if isinstance(platform, ClusterSpec):
-        if n_gpus is not None and n_gpus != platform.n_devices - 1:
-            raise ValidationError(
-                f"n_gpus={n_gpus} conflicts with cluster of "
-                f"{platform.n_devices - 1} accelerators"
-            )
-        return platform
-    if isinstance(platform, HeterogeneousMachine):
-        return ClusterSpec.from_machine(
-            platform, n_gpus=1 if n_gpus is None else n_gpus
-        )
     raise ValidationError(
         f"expected HeterogeneousMachine or ClusterSpec, got {type(platform).__name__}"
     )

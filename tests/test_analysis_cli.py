@@ -146,13 +146,13 @@ class TestExampleTraces:
         assert "clean" in capsys.readouterr().out
 
     def test_multiway_example_trace_clean(self, tmp_path, capsys):
-        from repro import load_dataset, paper_testbed
+        from repro import ClusterSpec, load_dataset, paper_testbed
         from repro.hetero import MultiwayCcProblem
 
         scale = 1 / 64
         machine = paper_testbed(time_scale=scale)
         graph = load_dataset("italy_osm", scale=scale).as_graph()
-        problem = MultiwayCcProblem(graph, machine, n_gpus=2)
+        problem = MultiwayCcProblem(graph, ClusterSpec.from_machine(machine, n_gpus=2))
         result = problem.run(problem.naive_static_thresholds())
         path = dump_trace(result.timeline, tmp_path / "multiway.json")
         assert main(["check-trace", str(path)]) == 0

@@ -28,6 +28,7 @@ from repro.hetero.hh_cpu import HhCpuProblem
 from repro.hetero.multiway_cc import MultiwayCcProblem, coordinate_descent
 from repro.hetero.multiway_spmm import MultiwaySpmmProblem
 from repro.hetero.spmm import SpmmProblem
+from repro.platform.cluster import ClusterSpec
 from repro.workloads.band import banded_matrix
 from repro.workloads.scalefree import scalefree_matrix
 from tests.conftest import random_graph, random_sparse
@@ -148,7 +149,9 @@ class TestMultiwayProblems:
 
     @pytest.mark.parametrize("n_gpus", [1, 2, 3])
     def test_multiway_cc(self, machine, n_gpus):
-        problem = MultiwayCcProblem(local_graph(1500, 1), machine, n_gpus=n_gpus)
+        problem = MultiwayCcProblem(
+            local_graph(1500, 1), ClusterSpec.from_machine(machine, n_gpus=n_gpus)
+        )
         vectors = self.random_vectors(n_gpus, 40, seed=n_gpus)
         batch = np.asarray(problem.evaluate_many(vectors))
         scalar = np.array([problem.evaluate_ms(v) for v in vectors])
@@ -156,7 +159,9 @@ class TestMultiwayProblems:
 
     @pytest.mark.parametrize("n_gpus", [1, 2, 3])
     def test_multiway_cc_sampled(self, machine, n_gpus):
-        problem = MultiwayCcProblem(local_graph(1500, 2), machine, n_gpus=n_gpus)
+        problem = MultiwayCcProblem(
+            local_graph(1500, 2), ClusterSpec.from_machine(machine, n_gpus=n_gpus)
+        )
         sub = problem.sample(400, rng=np.random.default_rng(7))
         vectors = self.random_vectors(n_gpus, 30, seed=10 + n_gpus)
         batch = np.asarray(sub.evaluate_many(vectors))
@@ -166,7 +171,8 @@ class TestMultiwayProblems:
     @pytest.mark.parametrize("n_gpus", [1, 2, 3])
     def test_multiway_spmm(self, machine, n_gpus):
         problem = MultiwaySpmmProblem(
-            banded_matrix(900, 12.0, rng=3), machine, n_gpus=n_gpus
+            banded_matrix(900, 12.0, rng=3),
+            ClusterSpec.from_machine(machine, n_gpus=n_gpus),
         )
         vectors = self.random_vectors(n_gpus, 40, seed=20 + n_gpus)
         batch = np.asarray(problem.evaluate_many(vectors))
@@ -174,7 +180,9 @@ class TestMultiwayProblems:
         np.testing.assert_allclose(batch, scalar, rtol=REL_TOL, atol=0.0)
 
     def test_coordinate_descent_matches_scalar_only(self, machine):
-        problem = MultiwayCcProblem(local_graph(1200, 5), machine, n_gpus=2)
+        problem = MultiwayCcProblem(
+            local_graph(1200, 5), ClusterSpec.from_machine(machine, n_gpus=2)
+        )
         batched = coordinate_descent(problem)
         scalar = coordinate_descent(_ScalarOnlyView(problem))
         assert batched == scalar  # vector, value, and evaluation count

@@ -1,5 +1,7 @@
 """Tests for repro.hetero.dynamic and repro.core.variance."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from repro.core.variance import estimate_distribution
 from repro.hetero.cc import CcProblem
 from repro.hetero.dynamic import best_dynamic_schedule, simulate_dynamic_spmm
 from repro.hetero.spmm import SpmmProblem
+from repro.platform.costmodel import PROFILE_SPGEMM
 from repro.util.errors import ValidationError
 from repro.workloads.band import banded_matrix
 from tests.conftest import random_graph
@@ -63,6 +66,19 @@ class TestDynamicScheduler:
     def test_rejects_bad_chunk(self, spmm):
         with pytest.raises(ValidationError):
             simulate_dynamic_spmm(spmm, 0)
+
+    def test_chunks_priced_with_problem_profile(self, machine):
+        # The static split and the dynamic baseline must price the same
+        # kernel: a half-efficiency profile slows both down.
+        a = banded_matrix(2000, 12.0, rng=3)
+        slow = replace(
+            PROFILE_SPGEMM,
+            cpu_efficiency=PROFILE_SPGEMM.cpu_efficiency / 2,
+            gpu_efficiency=PROFILE_SPGEMM.gpu_efficiency / 2,
+        )
+        fast = simulate_dynamic_spmm(SpmmProblem(a, machine), 100)
+        halved = simulate_dynamic_spmm(SpmmProblem(a, machine, profile=slow), 100)
+        assert halved.total_ms > 1.5 * fast.total_ms
 
 
 class TestVariance:

@@ -20,6 +20,7 @@ from repro.hetero.dense_mm import DenseMmProblem
 from repro.hetero.hh_cpu import HhCpuProblem
 from repro.hetero.multiway_cc import MultiwayCcProblem, coordinate_descent
 from repro.hetero.spmm import SpmmProblem
+from repro.platform.cluster import ClusterSpec
 from repro.sparse.construct import from_dense, identity
 from repro.sparse.csr import CsrMatrix
 from repro.util.errors import ReproError
@@ -72,12 +73,12 @@ class TestDegenerateGraphs:
         assert finite(sub.evaluate_ms(50.0))
 
     def test_multiway_on_empty_graph(self, machine):
-        p = MultiwayCcProblem(empty_graph(0), machine, n_gpus=2)
+        p = MultiwayCcProblem(empty_graph(0), ClusterSpec.from_machine(machine, n_gpus=2))
         assert p.evaluate_ms([30.0, 60.0]) == 0.0
 
     def test_multiway_coordinate_descent_on_tiny_graph(self, machine):
         g = Graph(3, np.array([0]), np.array([1]))
-        p = MultiwayCcProblem(g, machine, n_gpus=2)
+        p = MultiwayCcProblem(g, ClusterSpec.from_machine(machine, n_gpus=2))
         vec, val, _ = coordinate_descent(p, max_sweeps=2)
         assert finite(val)
 
@@ -169,7 +170,9 @@ class TestErrorTypesAreLibraryErrors:
             lambda: CcProblem(empty_graph(10), machine).evaluate_ms(150.0),
             lambda: SpmmProblem(identity(10), machine).split_row(-1.0),
             lambda: HhCpuProblem(identity(10), machine).evaluate_ms(-2.0),
-            lambda: MultiwayCcProblem(empty_graph(10), machine).evaluate_ms([90.0, 10.0]),
+            lambda: MultiwayCcProblem(
+                empty_graph(10), ClusterSpec.from_machine(machine, n_gpus=2)
+            ).evaluate_ms([90.0, 10.0]),
             lambda: DenseMmProblem(10, machine).evaluate_ms(101.0),
         ]
         for case in cases:

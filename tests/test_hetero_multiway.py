@@ -12,6 +12,7 @@ from repro.hetero.multiway_cc import (
     RangeCutProfile,
     coordinate_descent,
 )
+from repro.platform.cluster import ClusterSpec
 from repro.util.errors import ValidationError
 from tests.conftest import random_graph
 
@@ -28,7 +29,9 @@ def local_graph(n: int, seed: int) -> Graph:
 
 @pytest.fixture()
 def problem(machine):
-    return MultiwayCcProblem(local_graph(3000, 1), machine, n_gpus=2)
+    return MultiwayCcProblem(
+        local_graph(3000, 1), ClusterSpec.from_machine(machine, n_gpus=2)
+    )
 
 
 class TestRangeCutProfile:
@@ -102,7 +105,9 @@ class TestVectorPricing:
 
     def test_rejects_bad_construction(self, machine):
         with pytest.raises(ValidationError):
-            MultiwayCcProblem(local_graph(100, 7), machine, n_gpus=0)
+            MultiwayCcProblem(
+                local_graph(100, 7), ClusterSpec.from_machine(machine, n_gpus=0)
+            )
 
 
 class TestCoordinateDescent:
@@ -122,13 +127,13 @@ class TestExecution:
     @pytest.mark.parametrize("vec", [(0.0, 0.0), (10.0, 55.0), (33.0, 66.0), (100.0, 100.0)])
     def test_components_correct(self, machine, vec):
         g = random_graph(400, 700, seed=8)
-        problem = MultiwayCcProblem(g, machine, n_gpus=2)
+        problem = MultiwayCcProblem(g, ClusterSpec.from_machine(machine, n_gpus=2))
         result = problem.run(vec)
         assert result.n_components == count_components(components_union_find(g))
 
     def test_labels_match_reference(self, machine):
         g = random_graph(300, 500, seed=9)
-        problem = MultiwayCcProblem(g, machine, n_gpus=3)
+        problem = MultiwayCcProblem(g, ClusterSpec.from_machine(machine, n_gpus=3))
         result = problem.run([20.0, 40.0, 70.0])
         assert np.array_equal(result.labels, components_union_find(g))
 
@@ -144,56 +149,3 @@ class TestSampling:
 
     def test_sampling_cost_positive(self, problem):
         assert problem.sampling_cost_ms(50) > 0
-
-
-class TestLegacyShimTimeScale:
-    """The deprecated ``(machine, n_gpus)`` form at a non-default scale.
-
-    The shim widens through :meth:`ClusterSpec.from_machine`, which reuses
-    the machine's spec objects — so a machine built at ``time_scale=3.7``
-    must price bit-identically whether it enters as a bare machine or as
-    an explicitly widened cluster.  A shim that rebuilt specs at the
-    default scale would silently drop the caller's scaling.
-    """
-
-    SCALE = 3.7
-
-    def test_multiway_cc_p2_bit_identical(self, machine):
-        from repro.hetero.multiway_cc import MultiwayCcProblem
-        from repro.platform.cluster import ClusterSpec
-        from repro.platform.machine import paper_testbed
-
-        scaled = paper_testbed(time_scale=self.SCALE)
-        g = random_graph(300, 600, seed=7)
-        with pytest.warns(DeprecationWarning):
-            legacy = MultiwayCcProblem(g, scaled, n_gpus=1)
-        explicit = MultiwayCcProblem(
-            g, ClusterSpec.from_machine(scaled, n_gpus=1)
-        )
-        # The scaled launch constant actually reached the legacy problem.
-        assert legacy.cluster.devices[1].kernel_launch_us == pytest.approx(
-            scaled.gpu.kernel_launch_us
-        )
-        assert scaled.gpu.kernel_launch_us != machine.gpu.kernel_launch_us
-        for t in (0.0, 25.0, 60.0, 100.0):
-            left = legacy.evaluate_ms([t])
-            right = explicit.evaluate_ms([t])
-            assert np.float64(left).tobytes() == np.float64(right).tobytes()
-
-    def test_multiway_spmm_p2_bit_identical(self, machine):
-        from repro.hetero.multiway_spmm import MultiwaySpmmProblem
-        from repro.platform.cluster import ClusterSpec
-        from repro.platform.machine import paper_testbed
-        from repro.workloads.band import banded_matrix
-
-        scaled = paper_testbed(time_scale=self.SCALE)
-        a = banded_matrix(400, 9.0, rng=5)
-        with pytest.warns(DeprecationWarning):
-            legacy = MultiwaySpmmProblem(a, scaled, n_gpus=1)
-        explicit = MultiwaySpmmProblem(
-            a, ClusterSpec.from_machine(scaled, n_gpus=1)
-        )
-        for t in (0.0, 30.0, 55.0, 100.0):
-            left = legacy.evaluate_ms([t])
-            right = explicit.evaluate_ms([t])
-            assert np.float64(left).tobytes() == np.float64(right).tobytes()

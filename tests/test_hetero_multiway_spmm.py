@@ -7,6 +7,8 @@ from repro.core.oracle import exhaustive_oracle
 from repro.hetero.multiway_cc import coordinate_descent
 from repro.hetero.multiway_spmm import MultiwaySpmmProblem
 from repro.hetero.spmm import SpmmProblem
+from repro.platform.cluster import ClusterSpec
+from repro.platform.machine import paper_testbed
 from repro.sparse.spgemm import spgemm
 from repro.util.errors import ValidationError
 from repro.workloads.band import banded_matrix
@@ -14,7 +16,9 @@ from repro.workloads.band import banded_matrix
 
 @pytest.fixture()
 def problem(machine):
-    return MultiwaySpmmProblem(banded_matrix(1200, 14.0, rng=1), machine, n_gpus=2)
+    return MultiwaySpmmProblem(
+        banded_matrix(1200, 14.0, rng=1), ClusterSpec.from_machine(machine, n_gpus=2)
+    )
 
 
 class TestVectorGeometry:
@@ -30,17 +34,62 @@ class TestVectorGeometry:
         with pytest.raises(ValidationError):
             problem.evaluate_ms([10.0, 101.0])
 
-    def test_degenerate_matches_scalar(self, problem, machine):
-        # (r, 100) gives GPU 1 everything above the CPU's r share and GPU 2
-        # nothing — the scalar problem's computation.
-        scalar = SpmmProblem(problem.a, machine)
-        assert problem.evaluate_ms([31.0, 100.0]) == pytest.approx(
-            scalar.evaluate_ms(31.0), rel=0.02
-        )
+    def test_degenerate_matches_scalar(self, problem):
+        # A p=2 cluster runs the scalar problem's own row-range kernel, so
+        # prices, spans (up to lane names) and products agree bit for bit,
+        # on the full instance and on each sampler's miniature.
+        machine = paper_testbed(time_scale=3.7)
+        grid = np.arange(0.0, 101.0)
+        for topology in ("shared", "dedicated"):
+            cluster = ClusterSpec.from_machine(machine, topology=topology)
+            lane = {"gpu": "gpu0", "pcie": cluster.interconnect.resource_for(1)}
+            label = {
+                "phase2/spgemm-gpu": "phase2/spgemm-gpu0",
+                "phase2/d2h-result": "phase2/d2h-gpu0",
+            }
+            pairs = [
+                (SpmmProblem(problem.a, machine), MultiwaySpmmProblem(problem.a, cluster))
+            ]
+            for method in ("principal", "rows", "importance"):
+                scalar = SpmmProblem(problem.a, machine, sampling_method=method)
+                multi = MultiwaySpmmProblem(problem.a, cluster, base=scalar)
+                pairs.append((scalar.sample(300, rng=7), multi.sample(300, rng=7)))
+            for scalar, multi in pairs:
+                assert [multi.evaluate_ms([t]) for t in grid] == [
+                    scalar.evaluate_ms(t) for t in grid
+                ]
+                assert (
+                    multi.evaluate_many(grid[:, None]).tobytes()
+                    == scalar.evaluate_many(grid).tobytes()
+                )
+                for t in (0.0, 31.0, 100.0):
+                    expected = [
+                        (
+                            lane.get(s.resource, s.resource),
+                            label.get(s.label, s.label),
+                            s.start_ms,
+                            s.duration_ms,
+                        )
+                        for s in scalar.timeline(t).spans
+                    ]
+                    got = [
+                        (s.resource, s.label, s.start_ms, s.duration_ms)
+                        for s in multi.timeline([t]).spans
+                    ]
+                    assert got == expected
+                    left, right = multi.run([t]).product, scalar.run(t).product
+                    assert left.shape == right.shape
+                    for field in ("indptr", "indices", "data"):
+                        assert (
+                            getattr(left, field).tobytes()
+                            == getattr(right, field).tobytes()
+                        )
 
     def test_rejects_zero_gpus(self, machine):
         with pytest.raises(ValidationError):
-            MultiwaySpmmProblem(banded_matrix(100, 5.0, rng=2), machine, n_gpus=0)
+            MultiwaySpmmProblem(
+                banded_matrix(100, 5.0, rng=2), ClusterSpec.from_machine(machine, n_gpus=0)
+            )
 
 
 class TestPricingAndSearch:
@@ -79,13 +128,13 @@ class TestSamplingAndExecution:
     @pytest.mark.parametrize("vec", [(0.0, 0.0), (25.0, 60.0), (100.0, 100.0)])
     def test_partitioned_product_exact(self, machine, vec):
         a = banded_matrix(300, 8.0, rng=4)
-        problem = MultiwaySpmmProblem(a, machine, n_gpus=2)
+        problem = MultiwaySpmmProblem(a, ClusterSpec.from_machine(machine, n_gpus=2))
         result = problem.run(vec)
         assert result.product.allclose(spgemm(a, a))
 
     def test_three_gpu_product_exact(self, machine):
         a = banded_matrix(240, 6.0, rng=5)
-        problem = MultiwaySpmmProblem(a, machine, n_gpus=3)
+        problem = MultiwaySpmmProblem(a, ClusterSpec.from_machine(machine, n_gpus=3))
         result = problem.run([15.0, 45.0, 75.0])
         assert result.product.allclose(spgemm(a, a))
         assert len(result.split_rows) == 3

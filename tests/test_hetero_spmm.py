@@ -118,8 +118,9 @@ class TestSamplingAndRace:
         # The probe's threshold must equalize the two devices' times.
         sub = problem.sample(150, rng=2)
         t, _ = sub.race_probe()
-        cpu = sub._cpu_ms(sub.split_row(t))
-        gpu = sub._gpu_ms(sub.split_row(t))
+        k = sub.split_row(t)
+        cpu = sub._cpu_ms(sub.machine.cpu, k)
+        gpu = sub._gpu_ms(sub.machine.gpu, k, sub.a.n_rows)
         assert cpu == pytest.approx(gpu, rel=0.3)
 
     def test_probe_cost_unscaled(self, problem):

@@ -2,12 +2,10 @@
 
 Covers the ClusterSpec contract (validation, records, legacy round
 trips), the p = 2 bit-identity guarantee against the HeterogeneousMachine
-path for every case-study problem, the deprecation shims, cache-key
-separation by cluster shape, and the sample -> identify -> extrapolate
-pipeline on p in {2, 3, 4, 8} clusters.
+path for every case-study problem, cluster-only multiway construction,
+cache-key separation by cluster shape, and the sample -> identify ->
+extrapolate pipeline on p in {2, 3, 4, 8} clusters.
 """
-
-import warnings
 
 import numpy as np
 import pytest
@@ -33,7 +31,6 @@ from repro.platform.cluster import (
     Interconnect,
     balanced_partition_sizes,
     cluster_testbed,
-    coerce_cluster,
     coerce_machine,
     imbalance,
 )
@@ -124,9 +121,6 @@ class TestClusterSpecContract:
         assert coerce_machine(pair).cpu is machine.cpu
         with pytest.raises(ValidationError):
             coerce_machine(cluster_testbed(n_gpus=2))
-        assert coerce_cluster(pair) is pair
-        from_mach = coerce_cluster(machine, n_gpus=2)
-        assert from_mach.n_devices == 3
 
     def test_cluster_testbed_shapes(self):
         mixed = cluster_testbed(n_gpus=4, mixed=True, topology="dedicated")
@@ -182,26 +176,6 @@ class TestP2BitIdentity:
         with pytest.raises(ValidationError):
             CcProblem(random_graph(50, 80, seed=5), wide)
 
-    def test_multiway_problems_price_identically(self, machine):
-        graph = local_graph(2000, 7)
-        matrix = random_sparse(150, 150, 0.05, seed=8)
-        pair3 = ClusterSpec.from_machine(machine, n_gpus=2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy_cc = MultiwayCcProblem(graph, machine, n_gpus=2)
-            legacy_sp = MultiwaySpmmProblem(matrix, machine, n_gpus=2)
-        new_cc = MultiwayCcProblem(graph, pair3)
-        new_sp = MultiwaySpmmProblem(matrix, pair3)
-        vectors = [(20.0, 60.0), (0.0, 100.0), (33.0, 33.0), (5.0, 95.0)]
-        for legacy, new in ((legacy_cc, new_cc), (legacy_sp, new_sp)):
-            assert new.naive_static_thresholds() == legacy.naive_static_thresholds()
-            for vec in vectors:
-                assert new.evaluate_ms(list(vec)) == legacy.evaluate_ms(list(vec))
-            batch = np.asarray(vectors, dtype=np.float64)
-            np.testing.assert_array_equal(
-                new.evaluate_many(batch), legacy.evaluate_many(batch)
-            )
-
     def test_oracle_identical_serial_and_workers2(self, machine, pair, tmp_path):
         from repro.engine import Engine
 
@@ -218,38 +192,15 @@ class TestP2BitIdentity:
         assert fanned.threshold == serial.threshold
         assert fanned.best_time_ms == serial.best_time_ms
 
-    def test_run_identical_through_shim(self, machine):
-        graph = local_graph(1500, 11)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = MultiwayCcProblem(graph, machine, n_gpus=2)
-        new = MultiwayCcProblem(graph, ClusterSpec.from_machine(machine, n_gpus=2))
-        a = legacy.run([25.0, 70.0])
-        b = new.run([25.0, 70.0])
-        assert a.total_ms == b.total_ms
-        assert a.n_components == b.n_components
-        assert [s.resource for s in a.timeline.spans] == [
-            s.resource for s in b.timeline.spans
-        ]
 
-
-class TestDeprecationShim:
-    def test_n_gpus_keyword_warns(self, machine):
-        graph = random_graph(100, 150, seed=12)
-        with pytest.warns(DeprecationWarning, match="ClusterSpec"):
-            MultiwayCcProblem(graph, machine, n_gpus=2)
-        with pytest.warns(DeprecationWarning, match="ClusterSpec"):
-            MultiwaySpmmProblem(random_sparse(40, 40, 0.1, seed=13), machine)
-
-    def test_cluster_path_does_not_warn(self, machine, pair):
-        graph = random_graph(100, 150, seed=12)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            MultiwayCcProblem(graph, pair)
-
-    def test_cluster_with_conflicting_n_gpus_rejected(self, machine, pair):
-        with pytest.raises(ValidationError):
-            MultiwayCcProblem(random_graph(50, 80, seed=14), pair, n_gpus=3)
+class TestClusterOnlyConstruction:
+    def test_machine_rejected(self, machine):
+        for build, arg in (
+            (MultiwayCcProblem, random_graph(100, 150, seed=12)),
+            (MultiwaySpmmProblem, random_sparse(40, 40, 0.1, seed=13)),
+        ):
+            with pytest.raises(ValidationError, match="ClusterSpec.from_machine"):
+                build(arg, machine)
 
 
 class TestCacheKeySeparation:

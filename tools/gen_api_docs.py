@@ -117,14 +117,7 @@ def build() -> str:
         "a name moves or a signature is generalized, the old spelling keeps",
         "working for one deprecation cycle and emits a `DeprecationWarning`",
         "naming its replacement; results through the shim stay bit-identical",
-        "to the replacement path.  Current shims:",
-        "",
-        "- `MultiwayCcProblem(graph, machine, n_gpus=...)` /",
-        "  `MultiwaySpmmProblem(a, machine, n_gpus=...)` — the legacy",
-        "  2-device-machine signature; pass a `ClusterSpec` instead",
-        "  (`ClusterSpec.from_machine(machine, n_gpus=...)` prices",
-        "  bit-identically).  Lint rule `API002` keeps non-shim code off",
-        "  the old spelling.",
+        "to the replacement path.  Current shims: none.",
         "",
     ]
     for qualname in PACKAGES:
