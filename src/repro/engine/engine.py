@@ -27,6 +27,7 @@ from typing import Callable, Sequence, TypeVar
 from repro.engine.cache import ResultCache
 from repro.engine.faults import SYNTH_FAULT_KINDS, FaultPlan, arm_synth_faults
 from repro.engine.parallel import ParallelMap
+from repro.util.errors import ValidationError
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
@@ -157,6 +158,7 @@ class Engine:
         count: Callable[[_R], int] | None = None,
         count_batched: Callable[[_T, _R], int] | None = None,
         parallel: bool = True,
+        prepare: Callable[[_T], object] | None = None,
     ) -> list[_R]:
         """``[fn(p) for p in payloads]`` with caching and fan-out.
 
@@ -184,13 +186,20 @@ class Engine:
             ``evaluate_many`` sweep, for
             :attr:`EngineStats.batched_evaluations`.  The payload is
             passed so the hook can inspect the problem's capability.
+        prepare:
+            Builds the payload *fn* receives from a *payloads* entry, in
+            this process, and only for units whose key missed — so cache
+            hits never pay for it (a study's problem construction).
+            ``None`` hands the entries to *fn* as they are.  Prepared
+            payloads are what *count_batched* sees and, with
+            ``parallel=True``, what crosses the process boundary.
         """
         payloads = list(payloads)
         keys: list[dict | None] = (
             list(key_fields) if key_fields is not None else [None] * len(payloads)
         )
         if len(keys) != len(payloads):
-            raise ValueError(
+            raise ValidationError(
                 f"key_fields length {len(keys)} != payloads length {len(payloads)}"
             )
         results: list[_R | None] = [None] * len(payloads)
@@ -209,17 +218,21 @@ class Engine:
                 if self.cache is not None and fields is not None:
                     self.stats.misses += 1
         if missing:
+            work = [
+                payloads[i] if prepare is None else prepare(payloads[i])
+                for i in missing
+            ]
             if parallel:
-                computed = self.parallel_map.map(fn, [payloads[i] for i in missing])
+                computed = self.parallel_map.map(fn, work)
             else:
-                computed = [fn(payloads[i]) for i in missing]
-            for i, result in zip(missing, computed):
+                computed = [fn(payload) for payload in work]
+            for i, payload, result in zip(missing, work, computed):
                 results[i] = result
                 if count is not None:
                     self.stats.computed_evaluations += int(count(result))
                 if count_batched is not None:
                     self.stats.batched_evaluations += int(
-                        count_batched(payloads[i], result)
+                        count_batched(payload, result)
                     )
                 if self.cache is not None and keys[i] is not None:
                     record = encode(result) if encode is not None else result

@@ -40,6 +40,7 @@ import time
 
 from repro import obs
 from repro.experiments import REGISTRY, ExperimentConfig
+from repro.util.errors import ValidationError
 
 #: Default persistent result-cache directory (relative to the CWD).
 DEFAULT_CACHE_DIR = ".repro-cache"
@@ -173,17 +174,20 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(
             f"unknown experiment(s): {', '.join(unknown)}; known: {', '.join(REGISTRY)}"
         )
-    config = ExperimentConfig(
-        scale=args.scale,
-        seed=args.seed,
-        repeats=args.repeats,
-        datasets=tuple(args.datasets.split(",")) if args.datasets else None,
-        validate_traces=args.validate_traces,
-        workers=args.workers,
-        cache_dir=None if args.no_cache else args.cache_dir,
-        task_timeout_s=args.task_timeout,
-        max_retries=args.max_retries,
-    )
+    try:
+        config = ExperimentConfig(
+            scale=args.scale,
+            seed=args.seed,
+            repeats=args.repeats,
+            datasets=tuple(args.datasets.split(",")) if args.datasets else None,
+            validate_traces=args.validate_traces,
+            workers=args.workers,
+            cache_dir=None if args.no_cache else args.cache_dir,
+            task_timeout_s=args.task_timeout,
+            max_retries=args.max_retries,
+        )
+    except ValidationError as exc:
+        parser.error(str(exc))
     obs_active = (args.obs_out is not None or args.obs_summary) and not args.obs_off
     tracer = metrics = None
     if obs_active:

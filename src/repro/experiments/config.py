@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 from repro.platform.machine import HeterogeneousMachine, paper_testbed
 from repro.util.errors import ValidationError
 from repro.workloads.dataset import Dataset
-from repro.workloads.suite import DEFAULT_SCALE, load_dataset
+from repro.workloads.suite import DEFAULT_SCALE, dataset_names, load_dataset
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.engine import Engine, FaultPlan
@@ -38,8 +38,9 @@ class ExperimentConfig:
     seed:
         Base seed; per-dataset/per-repeat streams derive from it.
     datasets:
-        Restrict an experiment to these dataset names (``None`` = the
-        experiment's paper-default selection).
+        Restrict an experiment to these Table II dataset names (``None``
+        = the experiment's paper-default selection); any other name is
+        a :class:`~repro.util.errors.ValidationError`.
     repeats:
         Sampling repetitions averaged inside each estimate.
     validate_traces:
@@ -97,6 +98,14 @@ class ExperimentConfig:
             raise ValidationError(
                 f"max_retries must be >= 0, got {self.max_retries}"
             )
+        if self.datasets is not None:
+            known = dataset_names()
+            unknown = [n for n in self.datasets if n not in known]
+            if unknown:
+                raise ValidationError(
+                    f"unknown dataset(s) {', '.join(unknown)}; known: "
+                    f"{', '.join(known)}"
+                )
 
     def machine(self) -> HeterogeneousMachine:
         """The simulated testbed at this config's time scale."""

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.report import ExperimentReport, ReportTable
-from repro.experiments.runner import cc_study
+from repro.experiments.runner import run_study
 
 #: Headline numbers from the paper for the notes section.
 PAPER_THRESHOLD_DIFF = 7.5
@@ -27,7 +27,7 @@ PAPER_OVERHEAD = 9.0
 
 def run(config: ExperimentConfig | None = None) -> ExperimentReport:
     config = config or ExperimentConfig()
-    comparisons = cc_study(config)
+    comparisons = run_study(config, "cc")
 
     rows_a = []
     rows_b = []

@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.report import ExperimentReport, ReportTable
-from repro.experiments.runner import spmm_study
+from repro.experiments.runner import run_study
 
 PAPER_THRESHOLD_DIFF = 10.6
 PAPER_TIME_DIFF = 19.1
@@ -22,7 +22,7 @@ PAPER_OVERHEAD = 13.0
 
 def run(config: ExperimentConfig | None = None) -> ExperimentReport:
     config = config or ExperimentConfig()
-    comparisons = spmm_study(config)
+    comparisons = run_study(config, "spmm")
 
     rows_a = []
     rows_b = []

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.report import ExperimentReport, ReportTable
-from repro.experiments.runner import hh_study
+from repro.experiments.runner import run_study
 
 PAPER_THRESHOLD_DIFF = 5.25
 PAPER_TIME_DIFF = 6.01
@@ -31,7 +31,7 @@ def _relative_diff(estimated: float, oracle: float) -> float:
 
 def run(config: ExperimentConfig | None = None) -> ExperimentReport:
     config = config or ExperimentConfig()
-    comparisons = hh_study(config)
+    comparisons = run_study(config, "hh")
 
     rows_a = []
     rows_b = []

@@ -18,7 +18,9 @@ Execution goes through the config's :class:`repro.engine.Engine`:
 Every unit is *self-seeding* — its randomness derives from
 :func:`repro.util.rng.stable_seed` over (seed, study, dataset, ...) inside
 the payload — so parallel runs are bit-identical to serial runs.  Finished
-units are stored in the engine's result cache and replayed on warm runs.
+units are stored in the engine's result cache and replayed on warm runs;
+the Figure 3/5/8 studies build a dataset's problem only when one of its
+units misses.
 
 Both properties survive faults: the engine retries crashed/hung/failed
 units within the config's ``task_timeout_s`` / ``max_retries`` budgets
@@ -55,10 +57,9 @@ from repro.hetero.hh_cpu import HhCpuProblem
 from repro.hetero.spmm import SpmmProblem
 from repro.obs import runtime as _obs
 from repro.obs.timeline_view import validate_timeline
+from repro.util.errors import ValidationError
 from repro.util.rng import stable_seed
 from repro.workloads.suite import cc_subset_names, scalefree_subset_names, spmm_subset_names
-
-ProblemFactory = Callable[[ExperimentConfig, str], PartitionProblem]
 
 
 def validate_reported_traces(
@@ -175,26 +176,30 @@ def _strategy_label(partitioner: SamplingPartitioner) -> str:
     )
 
 
-def _oracle_key(config: ExperimentConfig, problem: PartitionProblem) -> dict:
+def _oracle_key(
+    config: ExperimentConfig, name: str, problem_class: type[PartitionProblem]
+) -> dict:
     """Key fields of an exhaustive-oracle record.
 
     The oracle consumes no randomness and no suite context — its result
     depends only on the (scaled) dataset and the problem class — so the
     key deliberately omits ``seed``/``datasets`` to maximize reuse across
-    configs (docs/ENGINE.md).
+    configs (docs/ENGINE.md).  It names the problem class rather than an
+    instance, so a lookup needs nothing built.
     """
     return {
         "kind": "oracle",
         "scale": config.scale,
-        "dataset": problem.name,
-        "problem": type(problem).__name__,
+        "dataset": name,
+        "problem": problem_class.__name__,
         "strategy": "ExhaustiveSearch",
     }
 
 
 def _comparison_key(
     config: ExperimentConfig,
-    problem: PartitionProblem,
+    name: str,
+    problem_class: type[PartitionProblem],
     partitioner: SamplingPartitioner,
     suite: list[str],
 ) -> dict:
@@ -207,8 +212,8 @@ def _comparison_key(
     return {
         "kind": "comparison",
         **config.cache_fields(),
-        "dataset": problem.name,
-        "problem": type(problem).__name__,
+        "dataset": name,
+        "problem": problem_class.__name__,
         "strategy": _strategy_label(partitioner),
         "suite": suite,
     }
@@ -217,68 +222,90 @@ def _comparison_key(
 # -- the study protocols ---------------------------------------------------
 
 
-def run_study(
-    config: ExperimentConfig,
-    names: list[str],
-    problem_factory: ProblemFactory,
-    partitioner_factory: Callable[[ExperimentConfig, str], SamplingPartitioner],
-) -> list[BaselineComparison]:
-    """The Figure 3/5/8 protocol over *names*.
+#: Each case study's problem class (named in its cache keys), problem
+#: factory, identify setup and paper dataset selection.
+_STUDIES = {
+    "cc": (CcProblem, cc_problem, cc_partitioner, cc_subset_names),
+    "spmm": (SpmmProblem, spmm_problem, spmm_partitioner, spmm_subset_names),
+    "hh": (HhCpuProblem, hh_problem, hh_partitioner, scalefree_subset_names),
+}
+
+
+def run_study(config: ExperimentConfig, kind: str) -> list[BaselineComparison]:
+    """The Figure 3/5/8 protocol for study *kind* (``"cc"``, ``"spmm"``, ``"hh"``).
 
     Two passes: the oracle sweep per dataset first (it also feeds the
     NaiveAverage baseline, which the paper derives from "several rounds of
     prior exhaustive runs" across the suite), then the sampling estimate
-    and baseline evaluations.  Problems are materialized here in the
-    parent process — workers receive pickled instances and never
-    re-synthesize datasets.
+    and baseline evaluations.  Both passes key their records by (config,
+    dataset, problem class), so a dataset's problem is built only when
+    one of its units misses the cache, at most once per study, and a
+    warm run builds none.  Problems are built here in the parent process
+    — workers receive pickled instances and never re-synthesize datasets.
     """
-    engine = config.engine()
-    problems: list[PartitionProblem] = [
-        problem_factory(config, name) for name in names
-    ]
-    # Pass 1 — oracles.  Each missing oracle runs in the parent and fans
-    # its per-threshold evaluations out over the engine's worker pool.
-    oracles: list[OracleResult] = engine.cached_map(
-        lambda problem: exhaustive_oracle(problem, parallel_map=engine.parallel_map),
-        problems,
-        key_fields=[_oracle_key(config, p) for p in problems],
-        encode=OracleResult.to_record,
-        decode=OracleResult.from_record,
-        count=lambda o: o.n_evaluations,
-        # Problems with pricing tables sweep their grid in one vectorized
-        # call; the stat lets the bench report show batch coverage.
-        count_batched=lambda p, o: o.n_evaluations if has_batch_pricing(p) else 0,
-        parallel=False,
-    )
-    naive_avg = naive_average_threshold([o.threshold for o in oracles])
-    # Pass 2 — estimates + baselines, fanned out across datasets.  Every
-    # payload carries its own stable_seed-derived generator (built by the
-    # partitioner factory), so fan-out order cannot leak into results.
-    partitioners = [partitioner_factory(config, name) for name in names]
-    comparisons: list[BaselineComparison] = engine.cached_map(
-        _comparison_task,
-        [
-            (problem, partitioner, naive_avg, oracle)
-            for problem, partitioner, oracle in zip(problems, partitioners, oracles)
-        ],
-        key_fields=[
-            _comparison_key(config, problem, partitioner, names)
-            for problem, partitioner in zip(problems, partitioners)
-        ],
-        encode=BaselineComparison.to_record,
-        decode=BaselineComparison.from_record,
-        count=lambda c: sum(s.n_evaluations for s in c.estimate.searches),
-    )
-    if config.validate_traces:
-        for problem, comparison in zip(problems, comparisons):
-            validate_reported_traces(
-                problem,
-                [
-                    comparison.oracle.threshold,
-                    comparison.estimate.threshold,
-                    comparison.naive_static_threshold,
-                ],
-            )
+    problem_class, problem_factory, partitioner_factory, subset = _STUDIES[kind]
+    default_names = subset()
+    names = config.select(default_names)
+    if not names:
+        raise ValidationError(
+            f"the {kind} study has no dataset under the restriction "
+            f"datasets={','.join(config.datasets or ())}; it runs on: "
+            f"{', '.join(default_names)}"
+        )
+    built: dict[str, PartitionProblem] = {}
+
+    def problem(name: str) -> PartitionProblem:
+        if name not in built:
+            with _obs.span(f"problem/{name}", cat="experiments", kind=kind):
+                built[name] = problem_factory(config, name)
+        return built[name]
+
+    with _obs.span(f"study/{kind}", cat="experiments", datasets=len(names)):
+        engine = config.engine()
+        # Pass 1 — oracles.  Each missing oracle runs in the parent and
+        # fans its per-threshold evaluations out over the engine's pool.
+        oracles: list[OracleResult] = engine.cached_map(
+            lambda p: exhaustive_oracle(p, parallel_map=engine.parallel_map),
+            names,
+            key_fields=[_oracle_key(config, name, problem_class) for name in names],
+            encode=OracleResult.to_record,
+            decode=OracleResult.from_record,
+            count=lambda o: o.n_evaluations,
+            # Problems with pricing tables sweep their grid in one
+            # vectorized call; the stat lets the bench report show batch
+            # coverage.
+            count_batched=lambda p, o: o.n_evaluations if has_batch_pricing(p) else 0,
+            parallel=False,
+            prepare=problem,
+        )
+        naive_avg = naive_average_threshold([o.threshold for o in oracles])
+        # Pass 2 — estimates + baselines, fanned out across datasets.
+        # Every payload carries its own stable_seed-derived generator
+        # (built by the partitioner factory), so fan-out order cannot
+        # leak into results.
+        partitioners = [partitioner_factory(config, name) for name in names]
+        comparisons: list[BaselineComparison] = engine.cached_map(
+            _comparison_task,
+            list(zip(names, partitioners, oracles)),
+            key_fields=[
+                _comparison_key(config, name, problem_class, partitioner, names)
+                for name, partitioner in zip(names, partitioners)
+            ],
+            encode=BaselineComparison.to_record,
+            decode=BaselineComparison.from_record,
+            count=lambda c: sum(s.n_evaluations for s in c.estimate.searches),
+            prepare=lambda unit: (problem(unit[0]), unit[1], naive_avg, unit[2]),
+        )
+        if config.validate_traces:
+            for name, comparison in zip(names, comparisons):
+                validate_reported_traces(
+                    problem(name),
+                    [
+                        comparison.oracle.threshold,
+                        comparison.estimate.threshold,
+                        comparison.naive_static_threshold,
+                    ],
+                )
     return comparisons
 
 
@@ -353,21 +380,3 @@ def sensitivity_sweep(
             }
         )
     return rows
-
-
-def cc_study(config: ExperimentConfig) -> list[BaselineComparison]:
-    names = config.select(cc_subset_names())
-    with _obs.span("study/cc", cat="experiments", datasets=len(names)):
-        return run_study(config, names, cc_problem, cc_partitioner)
-
-
-def spmm_study(config: ExperimentConfig) -> list[BaselineComparison]:
-    names = config.select(spmm_subset_names())
-    with _obs.span("study/spmm", cat="experiments", datasets=len(names)):
-        return run_study(config, names, spmm_problem, spmm_partitioner)
-
-
-def hh_study(config: ExperimentConfig) -> list[BaselineComparison]:
-    names = config.select(scalefree_subset_names())
-    with _obs.span("study/hh", cat="experiments", datasets=len(names)):
-        return run_study(config, names, hh_problem, hh_partitioner)

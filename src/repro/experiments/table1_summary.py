@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.report import ExperimentReport, ReportTable
-from repro.experiments.runner import cc_study, hh_study, spmm_study
+from repro.experiments.runner import run_study
 
 #: The paper's Table I, for side-by-side display.
 PAPER_ROWS = {
@@ -48,9 +48,9 @@ def _aggregate(comparisons, relative_threshold: bool):
 def run(config: ExperimentConfig | None = None) -> ExperimentReport:
     config = config or ExperimentConfig()
     measured = {
-        "CC": _aggregate(cc_study(config), relative_threshold=False),
-        "spmm": _aggregate(spmm_study(config), relative_threshold=False),
-        "Scale-free spmm": _aggregate(hh_study(config), relative_threshold=True),
+        "CC": _aggregate(run_study(config, "cc"), relative_threshold=False),
+        "spmm": _aggregate(run_study(config, "spmm"), relative_threshold=False),
+        "Scale-free spmm": _aggregate(run_study(config, "hh"), relative_threshold=True),
     }
     rows = []
     metrics = {}

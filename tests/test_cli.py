@@ -31,6 +31,12 @@ class TestCli:
         assert exc.value.code == 2
         assert "unknown experiment" in capsys.readouterr().err
 
+    def test_unknown_dataset_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--no-cache", "--datasets", "nosuch", "fig3"])
+        assert exc.value.code == 2
+        assert "unknown dataset(s) nosuch" in capsys.readouterr().err
+
     def test_datasets_flag_threads_through(self, capsys):
         rc = main(["fig3", "--scale", "0.015625", "--datasets", "cant,pwtk"])
         assert rc == 0

@@ -122,6 +122,25 @@ class TestCachedMap:
         with pytest.raises(ValueError):
             engine.cached_map(_double, [1, 2], key_fields=[{"i": 1}])
 
+    def test_prepare_runs_only_for_misses(self, tmp_path):
+        engine = Engine(workers=1, cache=ResultCache(tmp_path, salt="t"))
+        engine.cached_map(_double, [1], key_fields=[{"i": 1}])
+        prepared, batched = [], []
+
+        def prepare(x):
+            prepared.append(x)
+            return 10 * x
+
+        out = engine.cached_map(
+            _double,
+            [1, 2],
+            key_fields=[{"i": 1}, {"i": 2}],
+            prepare=prepare,
+            count_batched=lambda payload, r: batched.append(payload) or 0,
+        )
+        assert [r["value"] for r in out] == [2, 40]
+        assert prepared == [2] and batched == [20]
+
     def test_parallel_false_runs_inline_closures(self, tmp_path):
         engine = Engine(workers=1, cache=ResultCache(tmp_path, salt="t"))
         seen = []

@@ -13,6 +13,7 @@ import pytest
 
 import repro
 from repro.core.oracle import exhaustive_oracle
+from repro.engine import Engine
 from repro.engine.parallel import ParallelMap, chunked
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import cc_problem, spmm_problem
@@ -134,6 +135,11 @@ class TestParallelMap:
             pytest.param(ParallelMap, {"backoff_base_s": -0.1}, id="backoff_base_s"),
             pytest.param(ParallelMap, {"backoff_jitter": -0.1}, id="backoff_jitter"),
             pytest.param(chunked, {"items": [1], "n_chunks": 0}, id="n_chunks"),
+            pytest.param(
+                Engine().cached_map,
+                {"fn": _square, "payloads": [1, 2], "key_fields": [{"i": 1}]},
+                id="cached_map_key_fields",
+            ),
         ],
     )
     def test_bad_arguments_raise_validation_error(self, call, kwargs):

@@ -45,6 +45,32 @@ class TestConfig:
         with pytest.raises(ValidationError):
             ExperimentConfig(repeats=0)
 
+    def test_rejects_unknown_dataset_by_name(self):
+        with pytest.raises(ValidationError, match="unknown dataset.*nosuch"):
+            ExperimentConfig(datasets=("cant", "nosuch"))
+
+
+class TestEmptyStudy:
+    @pytest.mark.parametrize(
+        "run", [fig8_scalefree.run, table1_summary.run], ids=["fig8", "table1"]
+    )
+    def test_names_study_and_restriction(self, run, tmp_path):
+        """asia_osm is a road network: the scale-free study excludes it."""
+        config = ExperimentConfig(
+            scale=1 / 256, datasets=("asia_osm",), cache_dir=str(tmp_path / "cache")
+        )
+        with pytest.raises(ValidationError, match=r"hh study.*datasets=asia_osm"):
+            run(config)
+
+    def test_raises_before_engine_work(self, tmp_path):
+        config = ExperimentConfig(
+            scale=1 / 256, datasets=("asia_osm",), cache_dir=str(tmp_path / "cache")
+        )
+        with pytest.raises(ValidationError, match="hh study"):
+            fig8_scalefree.run(config)
+        stats = config.engine().stats
+        assert stats.hits == stats.misses == 0
+
 
 class TestReport:
     def test_render_contains_tables_and_notes(self):

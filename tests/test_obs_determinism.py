@@ -74,6 +74,23 @@ def _comparable(aggregates: dict, snapshot: dict):
     return spans, metrics
 
 
+class TestProblemSpans:
+    def test_built_on_cold_runs_only(self, tmp_path):
+        config = replace(BASE, cache_dir=str(tmp_path / "cache"))
+        tracer, _ = runtime.enable()
+        cold = fig3_cc.run(config)
+        cold_records = tracer.records()
+        tracer, _ = runtime.enable()
+        warm = fig3_cc.run(config)
+        warm_records = tracer.records()
+        runtime.disable()
+        built = [r for r in cold_records if r.name.startswith("problem/")]
+        assert sorted(r.name for r in built) == [f"problem/{n}" for n in BASE.datasets]
+        assert all(r.cat == "experiments" and r.args["kind"] == "cc" for r in built)
+        assert not [r for r in warm_records if r.name.startswith("problem/")]
+        assert cold.render() == warm.render() == fig3_cc.run(BASE).render()
+
+
 class TestObservingChangesNothing:
     def test_report_identical_with_and_without_recording(self):
         plain = fig3_cc.run(BASE)

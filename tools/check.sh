@@ -4,7 +4,8 @@
 # package), the whole-program project analysis (determinism /
 # parallel-safety / unit rules over the project graph), the API surface
 # snapshot (docs/API.md vs the live surface), the engine test suite,
-# then the full tier-1 test suite.
+# the chaos suite, a cross-process warm replay of table1, the cluster
+# experiments, then the full tier-1 test suite.
 # Run from the repository root:
 #
 #     tools/check.sh            # lint + analysis + API snapshot + tests
@@ -41,6 +42,18 @@ python -m pytest -x -q \
 echo
 echo "== chaos tests (fault injection) =="
 python -m pytest -x -q tests/test_engine_faults.py
+
+echo
+echo "== warm replay (cross-process) =="
+warm_tmp="$(mktemp -d)"
+trap 'rm -rf "$warm_tmp"' EXIT
+for run in 1 2; do
+    python -m repro.experiments --scale 0.015625 \
+        --cache-dir "$warm_tmp/warm" table1 > "$warm_tmp/run$run.txt"
+done
+grep -q "engine summary: .* 0 miss(es)" "$warm_tmp/run2.txt"
+diff <(grep -v -e "regenerated in" -e "engine summary" "$warm_tmp/run1.txt") \
+     <(grep -v -e "regenerated in" -e "engine summary" "$warm_tmp/run2.txt")
 
 echo
 echo "== cluster experiments (docs/CLUSTER.md) =="
