@@ -53,13 +53,6 @@ from repro.core.baselines import (
     BaselineComparison,
     compare_with_baselines,
 )
-from repro.core.strategies import (
-    StrategyEntry,
-    register_strategy,
-    strategy_names,
-    get_strategy,
-    strategy_doc,
-)
 
 __all__ = [
     "PartitionProblem",
@@ -95,9 +88,4 @@ __all__ = [
     "naive_average_threshold",
     "BaselineComparison",
     "compare_with_baselines",
-    "StrategyEntry",
-    "register_strategy",
-    "strategy_names",
-    "get_strategy",
-    "strategy_doc",
 ]

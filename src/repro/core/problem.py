@@ -14,6 +14,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
+from repro.util.errors import ValidationError
 from repro.util.rng import RngLike
 
 
@@ -80,6 +81,22 @@ class PartitionProblem(Protocol):
 #: deliberately not part of the protocol above: problems opt in, and
 #: callers go through :func:`evaluate_grid`, which falls back to a scalar
 #: loop for problems that don't.
+
+
+def check_thresholds(thresholds, upper: float = 100.0) -> np.ndarray:
+    """*thresholds* as a float64 array, every entry in ``[0, upper]``.
+
+    The one range check every batched pricing path shares.  NaN is out of
+    range: ``min``/``max`` propagate it and every comparison with it is
+    false, so it can never pass for an in-range value.
+    """
+    ts = np.asarray(thresholds, dtype=np.float64)
+    if ts.size and not (0.0 <= float(ts.min()) and float(ts.max()) <= upper):
+        bad = ts[~((ts >= 0.0) & (ts <= upper))].flat[0]
+        raise ValidationError(
+            f"thresholds must be in [0, {upper:g}], got {float(bad)}"
+        )
+    return ts
 
 
 def has_batch_pricing(problem: PartitionProblem) -> bool:

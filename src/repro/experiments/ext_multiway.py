@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.cut_vector import coordinate_descent
 from repro.core.oracle import exhaustive_oracle
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.report import ExperimentReport, ReportTable
 from repro.hetero.cc import CcProblem
-from repro.hetero.multiway_cc import MultiwayCcProblem, coordinate_descent
+from repro.hetero.multiway_cc import MultiwayCcProblem
 from repro.hetero.multiway_spmm import MultiwaySpmmProblem
 from repro.hetero.spmm import SpmmProblem
 from repro.platform.cluster import ClusterSpec

@@ -155,7 +155,9 @@ class CutProfile:
 
     def _check_many(self, ks: np.ndarray) -> np.ndarray:
         ks = np.asarray(ks, dtype=_INDEX)
-        if ks.size and (int(ks.min()) < 0 or int(ks.max()) > self._n):
+        # Viewed unsigned, a negative cut wraps above n: one reduction
+        # checks both bounds.
+        if ks.size and int(ks.view(np.uint64).max()) > self._n:
             raise ValidationError(f"cuts out of range [0, {self._n}]")
         return ks
 

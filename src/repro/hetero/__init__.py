@@ -23,11 +23,8 @@ from repro.hetero.cc import CcProblem, CcRunResult
 from repro.hetero.spmm import SpmmProblem, SpmmRunResult
 from repro.hetero.hh_cpu import HhCpuProblem, HhCpuRunResult
 from repro.hetero.dense_mm import DenseMmProblem
-from repro.hetero.multiway_cc import (
-    MultiwayCcProblem,
-    MultiwayCcRunResult,
-    coordinate_descent,
-)
+from repro.core.cut_vector import coordinate_descent
+from repro.hetero.multiway_cc import MultiwayCcProblem, MultiwayCcRunResult
 from repro.hetero.multiway_spmm import MultiwaySpmmProblem, MultiwaySpmmRunResult
 from repro.hetero.dynamic import (
     DynamicScheduleResult,

@@ -33,17 +33,27 @@ EXPERIMENTS.md):
 :class:`CcProblem` prices any threshold in O(1)-ish using a
 :class:`~repro.graphs.partition.CutProfile` and can :meth:`run` the real
 algorithm to produce verified component labels.
+
+The pricing, timeline and execution code works on a list of vertex cuts
+over a :class:`~repro.platform.cluster.ClusterSpec`, so the CPU+GPU split
+is the ``p = 2`` case of one kernel: this problem runs it on its 2-device
+view with one cut, and :class:`~repro.hetero.multiway_cc.MultiwayCcProblem`
+runs the same methods on a ``p``-device cluster with a cut vector.  An
+accelerator range ``[lo, hi)`` sweeps ``(hi - lo) + 2 * (edges inside the
+range)`` units; edges that cross a cut are left to the merge.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
+from repro.core.problem import check_thresholds
 from repro.graphs.graph import Graph
-from repro.graphs.partition import CutProfile, split_by_vertex
+from repro.graphs.partition import CutProfile
 from repro.graphs.shiloach_vishkin import (
     SvResult,
     modeled_sv_iterations,
@@ -58,6 +68,7 @@ from repro.platform.costmodel import (
     effective_rate_per_ms,
 )
 from repro.platform.cluster import ClusterSpec, coerce_machine
+from repro.platform.device import DeviceSpec
 from repro.platform.machine import HeterogeneousMachine
 from repro.platform.timeline import Timeline
 from repro.util.errors import ValidationError
@@ -67,6 +78,10 @@ _INDEX = np.int64
 
 #: Bytes per vertex shipped over PCIe (a component label).
 _BYTES_PER_VERTEX = 8
+
+#: Trace lanes of the one accelerator: compute resource and label, then
+#: the resource and label of the label transfer ahead of the merge.
+_SCALAR_LANES = (("gpu", "phase2/cc-gpu-sv", "pcie", "phase2/h2d-cpu-labels"),)
 
 #: Effective full passes over the GPU subgraph's edges+labels across all
 #: Shiloach-Vishkin rounds.  The active set shrinks geometrically after the
@@ -158,6 +173,8 @@ class CcProblem:
         self.graph = graph
         # A 2-device ClusterSpec works anywhere the legacy machine does.
         self.machine = coerce_machine(machine)
+        # The p=2 cut-vector view every pricing path runs on.
+        self._cluster = ClusterSpec.from_machine(self.machine)
         self.name = name
         self.work_scale = float(work_scale)
         self.sampling_method = sampling_method
@@ -215,88 +232,28 @@ class CcProblem:
 
     def evaluate_ms(self, threshold: float) -> float:
         """Phase-II makespan at *threshold* (GPU vertex share, percent)."""
-        return self._phase2(threshold).total_ms
+        return self.timeline(threshold).total_ms
 
     def timeline(self, threshold: float) -> Timeline:
         """Full span-level trace of Phase II at *threshold*."""
-        return self._phase2(threshold)
+        return self._cut_timeline(
+            self._cluster, [self._cut_index(threshold)], _SCALAR_LANES
+        )
 
     def evaluate_many(self, thresholds: np.ndarray) -> np.ndarray:
         """Batched :meth:`evaluate_ms` over a threshold array.
 
         One vectorized pass over the O(1)-per-cut tables (the
         :class:`~repro.graphs.partition.CutProfile` for full instances,
-        the sampled-instance :class:`PricingTables`), mirroring the scalar
-        evaluator's float64 arithmetic operation for operation so both
-        paths price a threshold bit-identically (docs/PERFORMANCE.md).
+        the sampled-instance :class:`PricingTables`) in :meth:`_cut_prices`,
+        which mirrors the scalar evaluator's float64 arithmetic operation
+        for operation so both paths price a threshold bit-identically
+        (docs/PERFORMANCE.md).
         """
-        ts = np.asarray(thresholds, dtype=np.float64)
-        if ts.size == 0:
-            return np.zeros(0, dtype=np.float64)
-        if float(ts.min()) < 0.0 or float(ts.max()) > 100.0:
-            raise ValidationError("thresholds must be in [0, 100]")
+        ts = check_thresholds(thresholds)
         n = self.graph.n
-        if n == 0:
-            return np.zeros(ts.shape, dtype=np.float64)
-        n_gpu = np.round(n * ts / 100.0).astype(_INDEX)
-        k = n - n_gpu
-
-        cpu = self.machine.cpu
-        gpu = self.machine.gpu
-        rate_cpu = effective_rate_per_ms(cpu, self.profile)
-        rate_gpu = effective_rate_per_ms(gpu, self.profile)
-        threads = cpu.threads
-
-        # CPU chunked DFS over the prefix [0, k).
-        if self._rep_prefix is not None:
-            cpu_work = self._rep_prefix[k]
-            atom = self._atom_prefix_max[k]
-        else:
-            cpu_work = self.work_scale * (
-                k + self._cut.cpu_degree_sum_many(k)
-            ).astype(np.float64)
-            atom = 1.0 + self._cut.max_degree_below_many(k).astype(np.float64)
-        heaviest = np.maximum(cpu_work / threads, atom)
-        cpu_ms = heaviest / (rate_cpu / threads) + cpu.kernel_launch_us * 1e-3
-
-        # GPU Shiloach-Vishkin over the suffix [k, n).
-        if self._rep_prefix is not None:
-            gpu_work = self._rep_prefix[n] - self._rep_prefix[k]
-        else:
-            gpu_work = self.work_scale * (
-                (n - k) + 2 * self._cut.m_gpu_many(k)
-            ).astype(np.float64)
-        sweep = SV_EFFECTIVE_PASSES * gpu_work / rate_gpu
-        sv_iters = np.where(
-            n_gpu <= 1,
-            1,
-            np.ceil(np.log2(np.maximum(n_gpu, 2))).astype(_INDEX) + 1,
-        )
-        gpu_ms = sweep + sv_iters * gpu.kernel_launch_us * 1e-3
-
-        longest = np.maximum(
-            np.where(k > 0, cpu_ms, 0.0), np.where(n_gpu > 0, gpu_ms, 0.0)
-        )
-
-        # Merge across the cut (runs only when both sides are populated).
-        merge_mask = (k > 0) & (n_gpu > 0)
-        transfer = self.machine.transfer_ms_many(k * _BYTES_PER_VERTEX)
-        m_cross = self._cut.m_cross_many(k)
-        # modeled_merge_iterations uses math.log2; evaluate it once per
-        # distinct cross-edge count so batch and scalar agree bit-exactly.
-        uniq, inverse = np.unique(m_cross, return_inverse=True)
-        merge_iters = np.array(
-            [modeled_merge_iterations(int(c)) for c in uniq], dtype=_INDEX
-        )[inverse].reshape(m_cross.shape)
-        merge_rate = effective_rate_per_ms(gpu, PROFILE_MERGE)
-        merge_ms = (
-            MERGE_EFFECTIVE_PASSES
-            * (2.0 * m_cross.astype(np.float64) + 1.0)
-            / merge_rate
-            + merge_iters * gpu.kernel_launch_us * 1e-3
-        )
-        total = longest + np.where(merge_mask, transfer, 0.0)
-        return total + np.where(merge_mask, merge_ms, 0.0)
+        k = n - np.round(n * ts / 100.0).astype(_INDEX)
+        return self._cut_prices(self._cluster, k.reshape(-1, 1)).reshape(ts.shape)
 
     def threshold_grid(self) -> np.ndarray:
         return np.arange(0.0, 101.0)
@@ -441,23 +398,15 @@ class CcProblem:
         """Threshold (GPU vertex share, percent) giving the CPU *share*."""
         return 100.0 * (1.0 - min(max(share, 0.0), 1.0))
 
-    # -- analytic Phase II pricing ------------------------------------------------
+    # -- vertex-range pricing: one kernel for 2 and p devices ---------------------
+    # Vertex cuts on a ClusterSpec: the CPU owns [0, cuts[0]), accelerator i
+    # owns [cuts[i], cuts[i + 1]), the last one up to n.  The CutProfile
+    # counts the edges inside the CPU prefix and the last suffix; callers
+    # with more than one accelerator pass the counts of the ranges between
+    # (*interior*).
 
-    def _cpu_work(self, k: int) -> float:
-        """Represented CPU-side work units for the prefix ``[0, k)``."""
-        if self._rep_prefix is not None:
-            return float(self._rep_prefix[k])
-        return self.work_scale * float(k + self._cut.cpu_degree_sum(k))
-
-    def _gpu_work(self, k: int) -> float:
-        """Represented GPU-side sweep units for the suffix ``[k, n)``."""
-        n = self.graph.n
-        if self._rep_prefix is not None:
-            return float(self._rep_prefix[n] - self._rep_prefix[k])
-        return self.work_scale * float((n - k) + 2 * self._cut.m_gpu(k))
-
-    def _cpu_ms(self, k: int) -> float:
-        """Work-balanced chunking with per-vertex atomicity.
+    def _cpu_ms(self, cpu: DeviceSpec, hi: int) -> float:
+        """CPU time for vertices [0, hi): work-balanced chunks, vertex atomicity.
 
         Sampled instances price the full instance they represent: totals
         are represented work (each sampled vertex stands for its
@@ -465,89 +414,203 @@ class CcProblem:
         single vertex's own traversal — stays at its true, unscaled
         magnitude (its weight is an original degree).
         """
-        rate = effective_rate_per_ms(self.machine.cpu, self.profile)
-        work = self._cpu_work(k)
-        threads = self.machine.cpu.threads
-        if self._atom_prefix_max is not None:
-            atom = float(self._atom_prefix_max[k])
+        rate = effective_rate_per_ms(cpu, self.profile)
+        threads = cpu.threads
+        if self._rep_prefix is not None:
+            work = float(self._rep_prefix[hi])
+            atom = float(self._atom_prefix_max[hi])
         else:
-            atom = 1.0 + self._cut.max_degree_below(k)
+            work = self.work_scale * float(hi + self._cut.cpu_degree_sum(hi))
+            atom = 1.0 + self._cut.max_degree_below(hi)
         heaviest = max(work / threads, atom)
-        per_thread = rate / threads
-        return heaviest / per_thread + self.machine.cpu.kernel_launch_us * 1e-3
+        return heaviest / (rate / threads) + cpu.kernel_launch_us * 1e-3
 
-    def _gpu_ms(self, k: int) -> float:
-        n_gpu = self.graph.n - k
-        rate = effective_rate_per_ms(self.machine.gpu, self.profile)
-        sweep = SV_EFFECTIVE_PASSES * self._gpu_work(k) / rate
-        launches = (
-            modeled_sv_iterations(n_gpu) * self.machine.gpu.kernel_launch_us * 1e-3
-        )
-        return sweep + launches
+    def _gpu_ms(self, gpu: DeviceSpec, lo: int, hi: int, inside: int) -> float:
+        """Shiloach-Vishkin time for vertices [lo, hi) holding *inside* edges."""
+        if self._rep_prefix is not None:
+            work = float(self._rep_prefix[hi] - self._rep_prefix[lo])
+        else:
+            work = self.work_scale * float((hi - lo) + 2 * inside)
+        sweep = SV_EFFECTIVE_PASSES * work / effective_rate_per_ms(gpu, self.profile)
+        return sweep + modeled_sv_iterations(hi - lo) * gpu.kernel_launch_us * 1e-3
 
-    def _phase2(self, threshold: float) -> Timeline:
-        k = self._cut_index(threshold)  # CPU owns [0, k)
+    def _cut_timeline(
+        self,
+        cluster: ClusterSpec,
+        cuts: Sequence[int],
+        lanes: Sequence[tuple[str, str, str, str]],
+        interior: Sequence[int] = (),
+    ) -> Timeline:
+        """Phase II for vertex *cuts* on *cluster*.
+
+        ``lanes[i]`` names accelerator ``i``'s compute resource and label,
+        then the resource and label of the label transfer that precedes a
+        merge on it.
+        """
         n = self.graph.n
-        n_gpu = n - k
         tl = Timeline()
         if n == 0:
             return tl
-
-        tasks: list[tuple[str, str, float]] = []
-        if k > 0:
-            tasks.append(("cpu", "phase2/cc-cpu-dfs", self._cpu_ms(k)))
-        if n_gpu > 0:
-            tasks.append(("gpu", "phase2/cc-gpu-sv", self._gpu_ms(k)))
+        bounds = [0, *cuts, n]
+        inside = [self._cut.m_cpu(bounds[1]), *interior, self._cut.m_gpu(bounds[-2])]
+        devices = cluster.devices
+        tasks = []
+        if bounds[1] > 0:
+            cpu_ms = self._cpu_ms(devices[0], bounds[1])
+            tasks.append(("cpu", "phase2/cc-cpu-dfs", cpu_ms))
+        for i, (lane, label, _, _) in enumerate(lanes):
+            lo, hi = bounds[i + 1], bounds[i + 2]
+            if hi > lo:
+                gpu_ms = self._gpu_ms(devices[i + 1], lo, hi, inside[i + 1])
+                tasks.append((lane, label, gpu_ms))
         tl.overlap(tasks)
-
-        # Merge across the cut on the GPU (Algorithm 1 line 9).
-        if k > 0 and n_gpu > 0:
-            tl.run(
-                "pcie",
-                "phase2/h2d-cpu-labels",
-                self.machine.transfer_ms(k * _BYTES_PER_VERTEX),
-            )
-            m_cross = self._cut.m_cross(k)
-            merge_iters = modeled_merge_iterations(m_cross)
-            merge_rate = effective_rate_per_ms(self.machine.gpu, PROFILE_MERGE)
+        # Merge across the cuts on the fastest accelerator (Algorithm 1
+        # line 9) when more than one range is populated; the labels of the
+        # other ranges ship over its link first.
+        if len(tasks) > 1:
+            mi = cluster.merge_device_index()
+            lane, _, link_lane, link_label = lanes[mi - 1]
+            foreign = n - (bounds[mi + 1] - bounds[mi])
+            transfer_ms = cluster.links[mi - 1].transfer_ms(foreign * _BYTES_PER_VERTEX)
+            tl.run(link_lane, link_label, transfer_ms)
+            merge = devices[mi]
+            m_cross = self.graph.m - sum(inside)
             merge_ms = (
-                MERGE_EFFECTIVE_PASSES * (2.0 * m_cross + 1.0) / merge_rate
-                + merge_iters * self.machine.gpu.kernel_launch_us * 1e-3
+                MERGE_EFFECTIVE_PASSES
+                * (2.0 * m_cross + 1.0)
+                / effective_rate_per_ms(merge, PROFILE_MERGE)
+                + modeled_merge_iterations(m_cross) * merge.kernel_launch_us * 1e-3
             )
-            tl.run("gpu", "phase2/merge-cross-edges", merge_ms)
+            tl.run(lane, "phase2/merge-cross-edges", merge_ms)
         return tl
+
+    def _cut_prices(
+        self,
+        cluster: ClusterSpec,
+        cuts: np.ndarray,
+        interior: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Batched :meth:`_cut_timeline` makespans, one row of *cuts* each.
+
+        *cuts* has shape ``(batch, p - 1)`` and *interior* ``(batch, p - 2)``.
+        Every range quantity is a gather into the O(1)-per-cut tables, so
+        the batch prices without any per-row Python.
+        """
+        n = self.graph.n
+        batch = cuts.shape[0]
+        if n == 0 or batch == 0:
+            return np.zeros(batch, dtype=np.float64)
+        # Range i covers [starts[i], ends[i]); the outer ends stay scalars.
+        cols = list(cuts.T)
+        starts, ends = [0, *cols], [*cols, n]
+        sizes = [cols[0], *[hi - lo for lo, hi in zip(cols, ends[1:])]]
+        inside = [
+            self._cut.m_cpu_many(cols[0]),
+            *(() if interior is None else interior.T),
+            self._cut.m_gpu_many(cols[-1]),
+        ]
+
+        # CPU chunked DFS over the prefix [0, k).
+        cpu = cluster.cpu
+        k = cols[0]
+        threads = cpu.threads
+        if self._rep_prefix is not None:
+            cpu_work = self._rep_prefix[k]
+            atom = self._atom_prefix_max[k]
+        else:
+            cpu_work = self.work_scale * (
+                k + self._cut.cpu_degree_sum_many(k)
+            ).astype(np.float64)
+            atom = 1.0 + self._cut.max_degree_below_many(k).astype(np.float64)
+        heaviest = np.maximum(cpu_work / threads, atom)
+        rate_cpu = effective_rate_per_ms(cpu, self.profile)
+        cpu_ms = heaviest / (rate_cpu / threads) + cpu.kernel_launch_us * 1e-3
+        longest = np.where(k > 0, cpu_ms, 0.0)
+
+        # Shiloach-Vishkin on each accelerator range.
+        for i, gpu in enumerate(cluster.accelerators, start=1):
+            size = sizes[i]
+            if self._rep_prefix is not None:
+                work = self._rep_prefix[ends[i]] - self._rep_prefix[starts[i]]
+            else:
+                work = self.work_scale * (size + 2 * inside[i]).astype(np.float64)
+            rate_gpu = effective_rate_per_ms(gpu, self.profile)
+            sweep = SV_EFFECTIVE_PASSES * work / rate_gpu
+            sv_iters = np.where(
+                size <= 1,
+                1,
+                np.ceil(np.log2(np.maximum(size, 2))).astype(_INDEX) + 1,
+            )
+            gpu_ms = sweep + sv_iters * gpu.kernel_launch_us * 1e-3
+            longest = np.maximum(longest, np.where(size > 0, gpu_ms, 0.0))
+
+        # Merge across the cuts (runs only when two or more ranges are populated).
+        merging = sum([size > 0 for size in sizes]) > 1
+        mi = cluster.merge_device_index()
+        merge = cluster.devices[mi]
+        transfer = cluster.links[mi - 1].transfer_ms_many(
+            (n - sizes[mi]) * _BYTES_PER_VERTEX
+        )
+        m_cross = self.graph.m - sum(inside)
+        # modeled_merge_iterations uses math.log2; evaluate it once per
+        # distinct cross-edge count so batch and scalar agree bit-exactly.
+        uniq, inverse = np.unique(m_cross, return_inverse=True)
+        merge_iters = np.array(
+            [modeled_merge_iterations(int(c)) for c in uniq], dtype=_INDEX
+        )[inverse].reshape(m_cross.shape)
+        merge_ms = (
+            MERGE_EFFECTIVE_PASSES
+            * (2.0 * m_cross.astype(np.float64) + 1.0)
+            / effective_rate_per_ms(merge, PROFILE_MERGE)
+            + merge_iters * merge.kernel_launch_us * 1e-3
+        )
+        total = longest + np.where(merging, transfer, 0.0)
+        return total + np.where(merging, merge_ms, 0.0)
+
+    def _cut_labels(
+        self, cuts: Sequence[int]
+    ) -> tuple[np.ndarray, list[SvResult | None], SvResult | None]:
+        """Execute the partitioned algorithm for vertex *cuts*.
+
+        Components of each range's induced subgraph are computed with the
+        vectorized Shiloach-Vishkin kernel (on the CPU range it stands in
+        for the chunked DFS — identical output, the clock is modeled
+        anyway), then merged over the edges that cross a cut.  Returns the
+        canonical labels, each range's SV result (``None`` when the range
+        is empty) and the merge's.
+        """
+        n = self.graph.n
+        u, v = self.graph.edge_u, self.graph.edge_v  # canonical: u <= v
+        bounds = [0, *cuts, n]
+        labels = np.empty(n, dtype=_INDEX)
+        ranges: list[SvResult | None] = []
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            sv = None
+            if hi > lo:
+                keep = (u >= lo) & (v < hi)
+                sv = shiloach_vishkin(Graph(hi - lo, u[keep] - lo, v[keep] - lo))
+                labels[lo:hi] = sv.labels + lo
+            ranges.append(sv)
+        crossing = np.searchsorted(cuts, u, side="right") != np.searchsorted(
+            cuts, v, side="right"
+        )
+        merge_sv: SvResult | None = None
+        if np.any(crossing):
+            merge_sv = sv_on_edges(n, labels[u[crossing]], labels[v[crossing]])
+            labels = merge_sv.labels[labels]
+        return labels, ranges, merge_sv
 
     # -- real execution ------------------------------------------------------------
 
     def run(self, threshold: float) -> CcRunResult:
-        """Execute Algorithm 1 at *threshold* and verify-ready labels.
-
-        Components of both subgraphs are computed with the vectorized
-        Shiloach-Vishkin kernel (on the CPU side it stands in for the
-        chunked DFS — identical output, the clock is modeled anyway), then
-        merged over the cross edges.
-        """
+        """Execute Algorithm 1 at *threshold* and verify-ready labels."""
         k = self._cut_index(threshold)
-        part = split_by_vertex(self.graph, k)
-        n = self.graph.n
-        labels = np.empty(n, dtype=_INDEX)
-        gpu_sv: SvResult | None = None
-        if k > 0:
-            cpu_res = shiloach_vishkin(part.cpu_graph)
-            labels[:k] = cpu_res.labels  # local ids == global ids on the prefix
-        if n - k > 0:
-            gpu_sv = shiloach_vishkin(part.gpu_graph)
-            labels[k:] = gpu_sv.labels + k
-        merge_sv: SvResult | None = None
-        if part.n_cross > 0:
-            merge_sv = sv_on_edges(n, labels[part.cross_u], labels[part.cross_v])
-            labels = merge_sv.labels[labels]
-        n_components = int(np.unique(labels).size) if n else 0
+        labels, ranges, merge_sv = self._cut_labels([k])
         return CcRunResult(
             threshold=float(threshold),
             labels=labels,
-            n_components=n_components,
-            gpu_sv=gpu_sv,
+            n_components=int(np.unique(labels).size),
+            gpu_sv=ranges[1],
             merge_sv=merge_sv,
-            timeline=self._phase2(threshold),
+            timeline=self._cut_timeline(self._cluster, [k], _SCALAR_LANES),
         )

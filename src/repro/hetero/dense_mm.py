@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.problem import check_thresholds
 from repro.platform.costmodel import (
     PROFILE_DENSE_MM,
     dense_mm_time,
@@ -80,11 +81,9 @@ class DenseMmProblem:
 
     def evaluate_many(self, thresholds: np.ndarray) -> np.ndarray:
         """Batched :meth:`evaluate_ms` (the regular model vectorizes directly)."""
-        ts = np.asarray(thresholds, dtype=np.float64)
+        ts = check_thresholds(thresholds)
         if ts.size == 0:
             return np.zeros(0, dtype=np.float64)
-        if float(ts.min()) < 0.0 or float(ts.max()) > 100.0:
-            raise ValidationError("thresholds must be in [0, 100]")
         n = self.n
         rows = self.rows
         if rows == 0:

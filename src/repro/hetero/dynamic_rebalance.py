@@ -545,21 +545,6 @@ def per_round_oracle(problem, rounds: int) -> tuple[list[float], float]:
     return thresholds, total
 
 
-# Strategy registry entry (name -> factory); repro.core.strategies owns the
-# table, this module self-registers on import.
-from repro.core.strategies import register_strategy  # noqa: E402
-
-register_strategy(
-    "static-sampled",
-    lambda **kw: DynamicRebalance(rounds=1, **{k: v for k, v in kw.items() if k != "rounds"}),
-    doc="Sampled estimate, fixed for the whole run (rounds=1).",
-)
-register_strategy(
-    "dynamic-rebalance",
-    DynamicRebalance,
-    doc="Rounds + observed-rate threshold updates (+ optional stealing).",
-)
-
 __all__ = [
     "DynamicRebalance",
     "DynamicRebalanceResult",

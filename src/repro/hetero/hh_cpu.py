@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.problem import check_thresholds
 from repro.platform.costmodel import (
     PROFILE_SPGEMM,
     KernelProfile,
@@ -181,8 +182,7 @@ class HhCpuProblem:
 
     def _split(self, threshold: float) -> dict:
         """Per-phase work arrays for density cutoff *threshold*."""
-        if threshold < 0:
-            raise ValidationError(f"density threshold must be >= 0, got {threshold}")
+        check_thresholds(threshold, upper=math.inf)
         high_rows = self._d_rows > threshold
         # Per-row multiply volume against high-density B rows only.
         high_cols = self._contrib * (self._contrib > threshold)
@@ -234,11 +234,9 @@ class HhCpuProblem:
         cutoff's row boundary.  Chunking bounds the dense (rows x cutoffs)
         intermediates.
         """
-        ts = np.asarray(thresholds, dtype=np.float64)
+        ts = check_thresholds(thresholds, upper=math.inf)
         if ts.size == 0:
             return np.zeros(0, dtype=np.float64)
-        if float(ts.min()) < 0.0:
-            raise ValidationError("density thresholds must be >= 0")
         n = self.a.n_rows
         if n == 0:
             return np.zeros(ts.shape, dtype=np.float64)

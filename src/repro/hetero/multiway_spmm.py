@@ -28,6 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.cut_vector import cuts_for_shares, shares_for_cuts
+from repro.core.problem import check_thresholds
 from repro.hetero.multiway_cc import _gpu_cluster
 from repro.hetero.spmm import SpmmProblem
 from repro.platform.cluster import ClusterSpec
@@ -160,8 +161,7 @@ class MultiwaySpmmProblem:
                 f"expected threshold vectors of shape (batch, {self.n_gpus}), "
                 f"got {vs.shape}"
             )
-        if vs.size and (float(vs.min()) < 0.0 or float(vs.max()) > 100.0):
-            raise ValidationError("thresholds must be in [0, 100]")
+        check_thresholds(vs)
         if bool(np.any(np.diff(vs, axis=1) < 0)):
             raise ValidationError("thresholds must be non-decreasing")
         splits = self._base._split_many(vs / 100.0)

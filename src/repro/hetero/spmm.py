@@ -34,6 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.problem import check_thresholds
 from repro.platform.costmodel import (
     PROFILE_SPGEMM,
     KernelProfile,
@@ -235,11 +236,9 @@ class SpmmProblem:
         mirrors the scalar float64 arithmetic operation for operation
         (docs/PERFORMANCE.md).
         """
-        ts = np.asarray(thresholds, dtype=np.float64)
+        ts = check_thresholds(thresholds)
         if ts.size == 0:
             return np.zeros(0, dtype=np.float64)
-        if float(ts.min()) < 0.0 or float(ts.max()) > 100.0:
-            raise ValidationError("thresholds must be in [0, 100]")
         splits = self._split_many(ts.reshape(-1, 1) / 100.0)
         return self._cut_prices(self._cluster, splits).reshape(ts.shape)
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.cut_vector import coordinate_descent
 from repro.core.oracle import exhaustive_oracle
 from repro.core.problem import evaluate_grid, has_batch_pricing
 from repro.core.search import (
@@ -25,10 +26,11 @@ from repro.core.search import (
 from repro.hetero.cc import CcProblem
 from repro.hetero.dense_mm import DenseMmProblem
 from repro.hetero.hh_cpu import HhCpuProblem
-from repro.hetero.multiway_cc import MultiwayCcProblem, coordinate_descent
+from repro.hetero.multiway_cc import MultiwayCcProblem
 from repro.hetero.multiway_spmm import MultiwaySpmmProblem
 from repro.hetero.spmm import SpmmProblem
 from repro.platform.cluster import ClusterSpec
+from repro.util.errors import ValidationError
 from repro.workloads.band import banded_matrix
 from repro.workloads.scalefree import scalefree_matrix
 from tests.conftest import random_graph, random_sparse
@@ -256,3 +258,46 @@ class TestEvaluateGridDispatch:
 
         with pytest.raises(ValueError, match="evaluate_many returned shape"):
             evaluate_grid(Broken(), np.array([1.0, 2.0]))
+
+
+def _nan_cases(kind: str, machine):
+    """(problem, bad scalar thresholds, bad batches) for one problem class."""
+    nan = float("nan")
+    if kind == "cc":
+        problem = CcProblem(random_graph(120, 300, seed=2), machine)
+    elif kind == "spmm":
+        problem = SpmmProblem(random_sparse(80, 80, 0.08, seed=2), machine)
+    elif kind == "dense-mm":
+        problem = DenseMmProblem(64, machine)
+    elif kind == "hh":
+        problem = HhCpuProblem(scalefree_matrix(200, 8.0, alpha=2.2, rng=2), machine)
+        return problem, [nan, -1.0], [[nan, 5.0], [nan], [-1.0, 5.0]]
+    else:
+        cluster = ClusterSpec.from_machine(machine, n_gpus=2)
+        if kind == "multiway-cc":
+            problem = MultiwayCcProblem(local_graph(300, 2), cluster)
+        else:
+            problem = MultiwaySpmmProblem(banded_matrix(200, 6.0, rng=2), cluster)
+        return (
+            problem,
+            [[nan, 50.0], [10.0, nan], [-1.0, 50.0], [10.0, 120.0]],
+            [[[nan, 50.0]], [[10.0, 50.0], [20.0, nan]], [[10.0, 120.0]]],
+        )
+    return problem, [nan, -1.0, 101.0], [[nan, 50.0], [nan], [50.0, 120.0]]
+
+
+class TestThresholdValidation:
+    """One shared range check: NaN and out-of-range thresholds are rejected
+    as ValidationError on the scalar and the batched path alike."""
+
+    @pytest.mark.parametrize(
+        "kind", ["cc", "spmm", "dense-mm", "hh", "multiway-cc", "multiway-spmm"]
+    )
+    def test_nan_and_out_of_range_rejected(self, machine, kind):
+        problem, scalars, batches = _nan_cases(kind, machine)
+        for bad in scalars:
+            with pytest.raises(ValidationError, match="threshold"):
+                problem.evaluate_ms(bad)
+        for bad in batches:
+            with pytest.raises(ValidationError, match="threshold"):
+                problem.evaluate_many(np.array(bad))

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core.autotune import autotune
+from repro.core.cut_vector import coordinate_descent
 from repro.core.framework import SamplingPartitioner
 from repro.core.oracle import exhaustive_oracle
 from repro.core.search import CoarseToFineSearch, GradientDescentSearch
@@ -18,7 +19,7 @@ from repro.graphs.graph import Graph
 from repro.hetero.cc import CcProblem
 from repro.hetero.dense_mm import DenseMmProblem
 from repro.hetero.hh_cpu import HhCpuProblem
-from repro.hetero.multiway_cc import MultiwayCcProblem, coordinate_descent
+from repro.hetero.multiway_cc import MultiwayCcProblem
 from repro.hetero.spmm import SpmmProblem
 from repro.platform.cluster import ClusterSpec
 from repro.sparse.construct import from_dense, identity

@@ -4,7 +4,7 @@ The load-bearing contract is the rounds=1 anchor: ``DynamicRebalance``
 with one round must be *bit-identical* to the static sampled strategy
 (same estimate, same single timeline, column for column).  Everything
 else — the hindsight update beating a fixed cutoff under drift, the
-work-stealing drain, the registry, the serialized records — layers on
+work-stealing drain, the serialized records — layers on
 top of that anchor.
 """
 
@@ -13,12 +13,6 @@ import pytest
 
 from repro.core.framework import SamplingPartitioner
 from repro.core.search import RaceCoarseSearch
-from repro.core.strategies import (
-    get_strategy,
-    register_strategy,
-    strategy_doc,
-    strategy_names,
-)
 from repro.hetero.cc import CcProblem
 from repro.hetero.dynamic_rebalance import (
     DynamicRebalance,
@@ -292,38 +286,6 @@ class TestRecords:
         assert restored == result
         assert restored.timeline is None
         assert restored.stolen_rows == result.stolen_rows
-
-
-class TestStrategyRegistry:
-    def test_builtins_registered(self):
-        names = strategy_names()
-        assert "static-sampled" in names
-        assert "dynamic-rebalance" in names
-
-    def test_static_sampled_is_one_round(self):
-        strategy = get_strategy("static-sampled")
-        assert isinstance(strategy, DynamicRebalance)
-        assert strategy.rounds == 1
-
-    def test_factory_kwargs_pass_through(self):
-        strategy = get_strategy("dynamic-rebalance", rounds=5, steal=True)
-        assert strategy.rounds == 5 and strategy.steal
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(ValidationError):
-            get_strategy("no-such-strategy")
-        with pytest.raises(ValidationError):
-            strategy_doc("no-such-strategy")
-
-    def test_docs_are_nonempty(self):
-        assert strategy_doc("dynamic-rebalance")
-        assert strategy_doc("static-sampled")
-
-    def test_register_validates(self):
-        with pytest.raises(ValidationError):
-            register_strategy("", lambda: None)
-        with pytest.raises(ValidationError):
-            register_strategy("not-callable", "nope")
 
 
 class TestObsCounters:

@@ -2,17 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.graphs.components import components_union_find, count_components
 from repro.graphs.graph import Graph
 from repro.graphs.partition import CutProfile
 from repro.hetero.cc import CcProblem
-from repro.hetero.multiway_cc import (
-    MultiwayCcProblem,
-    RangeCutProfile,
-    coordinate_descent,
-)
+from repro.core.cut_vector import coordinate_descent
+from repro.hetero.multiway_cc import MultiwayCcProblem, RangeCutProfile
 from repro.platform.cluster import ClusterSpec
+from repro.platform.machine import paper_testbed
 from repro.util.errors import ValidationError
 from tests.conftest import random_graph
 
@@ -62,13 +61,6 @@ class TestRangeCutProfile:
         with pytest.raises(ValidationError):
             RangeCutProfile(g).within(50, 40)
 
-    def test_degree_sum(self):
-        g = random_graph(100, 160, seed=6)
-        rp = RangeCutProfile(g)
-        degs = g.degrees()
-        a, b = rp.cut_index(20), rp.cut_index(70)
-        assert rp.degree_sum(20, 70) == degs[a:b].sum()
-
 
 class TestVectorPricing:
     def test_vector_validated(self, problem):
@@ -79,13 +71,53 @@ class TestVectorPricing:
         with pytest.raises(ValidationError):
             problem.evaluate_ms([10.0, 120.0])  # out of range
 
-    def test_degenerate_vectors_match_scalar_problem(self, problem, machine):
-        # (t, 100) gives GPU 1 everything above t and GPU 2 nothing — the
-        # same computation as the scalar problem at gpu share 100 - t.
-        scalar = CcProblem(problem.graph, machine)
-        multi = problem.evaluate_ms([11.0, 100.0])
-        single = scalar.evaluate_ms(89.0)
-        assert multi == pytest.approx(single, rel=0.05)
+    def test_degenerate_vectors_match_scalar_problem(self, problem):
+        # A p=2 cluster runs the scalar problem's own vertex-range kernel.
+        # With 100 dividing n both geometries pick the same vertex cut at
+        # every grid point (GPU share t is CPU cut 100 - t), so prices,
+        # spans (up to lane names) and labels agree bit for bit, on the
+        # full instance and on its sampled miniature.
+        machine = paper_testbed(time_scale=3.7)
+        grid = np.arange(0.0, 101.0)
+        for topology in ("shared", "dedicated"):
+            cluster = ClusterSpec.from_machine(machine, topology=topology)
+            lane = {"gpu": "gpu0", "pcie": cluster.interconnect.resource_for(1)}
+            label = {
+                "phase2/cc-gpu-sv": "phase2/cc-gpu0-sv",
+                "phase2/h2d-cpu-labels": "phase2/h2d-labels",
+            }
+            scalar = CcProblem(problem.graph, machine)
+            multi = MultiwayCcProblem(problem.graph, cluster)
+            pairs = [
+                (scalar, multi),
+                (scalar.sample(500, rng=7), multi.sample(500, rng=7)),
+            ]
+            for scalar, multi in pairs:
+                assert [multi.evaluate_ms([100.0 - t]) for t in grid] == [
+                    scalar.evaluate_ms(t) for t in grid
+                ]
+                assert (
+                    multi.evaluate_many((100.0 - grid)[:, None]).tobytes()
+                    == scalar.evaluate_many(grid).tobytes()
+                )
+                for t in grid:
+                    expected = [
+                        (
+                            lane.get(s.resource, s.resource),
+                            label.get(s.label, s.label),
+                            s.start_ms,
+                            s.duration_ms,
+                        )
+                        for s in scalar.timeline(t).spans
+                    ]
+                    got = [
+                        (s.resource, s.label, s.start_ms, s.duration_ms)
+                        for s in multi.timeline([100.0 - t]).spans
+                    ]
+                    assert got == expected
+                    assert np.array_equal(
+                        multi.run([100.0 - t]).labels, scalar.run(t).labels
+                    )
 
     def test_two_gpus_beat_one_on_local_graph(self, problem):
         one_gpu = problem.evaluate_ms([11.0, 100.0])
@@ -149,3 +181,81 @@ class TestSampling:
 
     def test_sampling_cost_positive(self, problem):
         assert problem.sampling_cost_ms(50) > 0
+
+
+@st.composite
+def raw_edge_lists(draw, max_n=40):
+    """``(n, pairs)``: an edge list that may repeat edges and hold self loops."""
+    n = draw(st.integers(0, max_n))
+    vertex = st.integers(0, max(n - 1, 0))
+    pairs = draw(
+        st.lists(st.tuples(vertex, vertex), max_size=0 if n == 0 else 3 * n)
+    )
+    return n, pairs
+
+
+def _as_graph(n, pairs) -> Graph:
+    """Duplicates fold in the Graph constructor; self loops are dropped the
+    way ``Dataset.as_graph`` drops the matrix diagonal."""
+    u = np.array([a for a, _ in pairs], dtype=np.int64)
+    v = np.array([b for _, b in pairs], dtype=np.int64)
+    keep = u != v
+    return Graph(n, u[keep], v[keep])
+
+
+def _spans(timeline, lane=None, label=None):
+    lane, label = lane or {}, label or {}
+    return [
+        (
+            lane.get(s.resource, s.resource),
+            label.get(s.label, s.label),
+            s.start_ms,
+            s.duration_ms,
+        )
+        for s in timeline.spans
+    ]
+
+
+class TestP2Property:
+    """Generative check of the p=2 fold on degenerate graphs."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(edges=raw_edge_lists(), sampled=st.booleans())
+    @example(edges=(0, []), sampled=False)
+    @example(edges=(1, [(0, 0)]), sampled=True)
+    @example(edges=(7, []), sampled=True)  # every vertex isolated
+    @example(edges=(5, [(0, 1), (1, 0), (1, 1), (3, 4), (0, 1)]), sampled=False)
+    def test_p2_multiway_equals_scalar_at_same_cut(self, edges, sampled):
+        graph = _as_graph(*edges)
+        machine = paper_testbed(time_scale=3.7)
+        scalar = CcProblem(graph, machine)
+        multi = MultiwayCcProblem(graph, ClusterSpec.from_machine(machine))
+        if sampled and graph.n:
+            size = scalar.default_sample_size()
+            scalar, multi = scalar.sample(size, rng=3), multi.sample(size, rng=3)
+        n = multi.graph.n
+        grid = np.arange(0.0, 101.0)
+        # The scalar cuts at n - round(n t / 100), the vector at round(n c / 100).
+        share_at_cut = {scalar._cut_index(t): t for t in grid}
+        lane = {"gpu": "gpu0"}
+        label = {
+            "phase2/cc-gpu-sv": "phase2/cc-gpu0-sv",
+            "phase2/h2d-cpu-labels": "phase2/h2d-labels",
+        }
+        for c in grid:
+            t = share_at_cut.get(int(round(n * c / 100.0)))
+            if t is None:
+                continue
+            assert multi.evaluate_ms([c]) == scalar.evaluate_ms(t)
+            expected = _spans(scalar.timeline(t), lane, label)
+            assert _spans(multi.timeline([c])) == expected
+        for k, t in share_at_cut.items():
+            c = next(c for c in grid if int(round(n * c / 100.0)) == k)
+            assert np.array_equal(multi.run([c]).labels, scalar.run(t).labels)
+        # Batched pricing equals the scalar Timeline for both classes.
+        assert scalar.evaluate_many(grid).tobytes() == np.array(
+            [scalar.evaluate_ms(t) for t in grid]
+        ).tobytes()
+        assert multi.evaluate_many(grid[:, None]).tobytes() == np.array(
+            [multi.evaluate_ms([c]) for c in grid]
+        ).tobytes()

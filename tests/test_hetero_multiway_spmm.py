@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.oracle import exhaustive_oracle
-from repro.hetero.multiway_cc import coordinate_descent
+from repro.core.cut_vector import coordinate_descent
 from repro.hetero.multiway_spmm import MultiwaySpmmProblem
 from repro.hetero.spmm import SpmmProblem
 from repro.platform.cluster import ClusterSpec

@@ -171,6 +171,20 @@ class TestP2BitIdentity:
             for t in legacy.threshold_grid()[:: max(1, len(legacy.threshold_grid()) // 7)]:
                 assert clustered.evaluate_ms(t) == legacy.evaluate_ms(t)
 
+    def test_multiway_problems_price_like_scalar(self, machine, pair):
+        # The p=2 multiway problems run the scalar kernels.  With n = 400
+        # both CC geometries pick the same vertex cut at every grid point
+        # (GPU share t is CPU cut 100 - t).
+        grid = np.arange(0.0, 101.0)
+        graph = random_graph(400, 900, seed=3)
+        matrix = random_sparse(120, 120, 0.06, seed=4)
+        cc = MultiwayCcProblem(graph, pair).evaluate_many((100.0 - grid)[:, None])
+        assert cc.tobytes() == CcProblem(graph, machine).evaluate_many(grid).tobytes()
+        spmm = MultiwaySpmmProblem(matrix, pair).evaluate_many(grid[:, None])
+        assert (
+            spmm.tobytes() == SpmmProblem(matrix, machine).evaluate_many(grid).tobytes()
+        )
+
     def test_scalar_problems_reject_wide_clusters(self, machine):
         wide = cluster_testbed(n_gpus=2)
         with pytest.raises(ValidationError):

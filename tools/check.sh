@@ -5,7 +5,8 @@
 # parallel-safety / unit rules over the project graph), the API surface
 # snapshot (docs/API.md vs the live surface), the engine test suite,
 # the chaos suite, a cross-process warm replay of table1, the cluster
-# experiments, then the full tier-1 test suite.
+# experiments, the dynamic re-balancing experiments, then the full tier-1
+# test suite.
 # Run from the repository root:
 #
 #     tools/check.sh            # lint + analysis + API snapshot + tests
@@ -59,6 +60,11 @@ echo
 echo "== cluster experiments (docs/CLUSTER.md) =="
 python -m pytest -x -q tests/test_platform_cluster.py
 python -m repro.experiments ext-cluster --scale 0.02 --no-cache
+
+echo
+echo "== dynamic re-balancing experiments =="
+python -m pytest -x -q tests/test_hetero_dynamic_rebalance.py
+python -m repro.experiments ext-dynamic --scale 0.0625 --no-cache
 
 echo
 echo "== tier-1 tests =="
