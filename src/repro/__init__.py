@@ -43,8 +43,10 @@ Subpackages
     One module per paper table/figure; ``python -m repro.experiments all``
     regenerates everything.
 ``repro.analysis``
-    Static analysis: the repo-invariant linter and the schedule hazard
-    detector (``python -m repro.analysis``); see docs/ANALYSIS.md.
+    Static analysis: the repo-invariant linter, the whole-program
+    determinism / parallel-safety / unit analysis (``--project``), and the
+    schedule hazard detector (``python -m repro.analysis``); see
+    docs/ANALYSIS.md.
 ``repro.engine``
     Parallel fan-out + persistent result caching behind the harness
     (:func:`get_engine`, :class:`ResultCache`); see docs/ENGINE.md.

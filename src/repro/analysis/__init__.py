@@ -18,8 +18,9 @@ A third layer analyzes the *whole program* at once: a project graph
 (imports, symbols, call edges over the source tree) feeding the DET
 (determinism), PAR (parallel-safety), and UNIT-X (interprocedural unit
 propagation) rule families — :func:`~repro.analysis.project.analyze_project`
-— with an incremental content-hash cache and SARIF 2.1 output for code
-scanning.
+— with SARIF 2.1 output for code scanning.  The linter and the project
+analyzer read the same per-file record, built by one parse and one walk
+(:mod:`repro.analysis.summary`).
 
 All layers report :class:`~repro.analysis.findings.Finding` records and are
 exposed on the command line::
@@ -31,7 +32,6 @@ exposed on the command line::
 
 from __future__ import annotations
 
-from repro.analysis.anacache import AnalysisCache, AnalysisCacheError
 from repro.analysis.findings import Finding, findings_to_json, render_findings
 from repro.analysis.hazards import check_spans, check_timeline
 from repro.analysis.project import (
@@ -45,8 +45,6 @@ from repro.analysis.sarif import sarif_to_json, to_sarif, write_sarif
 from repro.analysis.tracefile import dump_trace, load_trace
 
 __all__ = [
-    "AnalysisCache",
-    "AnalysisCacheError",
     "Finding",
     "PROJECT_RULES",
     "ProjectReport",

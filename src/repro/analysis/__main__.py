@@ -4,7 +4,6 @@ Usage::
 
     python -m repro.analysis --project src/repro       # whole-program DET/PAR/UNIT-X
     python -m repro.analysis --project src/repro --sarif out.sarif
-    python -m repro.analysis --project src/repro --cache .ana-cache.json
     python -m repro.analysis lint src/repro            # per-file lint
     python -m repro.analysis lint --format json file.py
     python -m repro.analysis lint --select RNG001,SIM001 src
@@ -12,8 +11,7 @@ Usage::
     python -m repro.analysis rules                     # print the catalog
 
 Exit status: 0 when clean, 1 when findings were reported, 2 on usage or
-input errors (including a corrupt analysis cache) — so CI can gate on it
-directly.
+input errors — so CI can gate on it directly.
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.analysis.anacache import AnalysisCacheError
 from repro.analysis.findings import Finding, findings_to_json, render_findings
 from repro.analysis.hazards import HAZARDS, check_spans
 from repro.analysis.project import PROJECT_RULES, analyze_project
@@ -62,10 +59,7 @@ def _report(findings: list[Finding], fmt: str, rules: dict[str, str]) -> int:
 
 def _run_project(args: argparse.Namespace) -> int:
     try:
-        report = analyze_project(args.project, cache_path=args.cache)
-    except AnalysisCacheError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        report = analyze_project(args.project)
     except (OSError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -75,12 +69,8 @@ def _run_project(args: argparse.Namespace) -> int:
     if args.sarif is not None:
         write_sarif(args.sarif, findings, PROJECT_RULES, base_dir=".")
         print(f"wrote {args.sarif}", file=sys.stderr)
-    source = "memo" if report.memo_hit else (
-        f"{report.files_from_cache}/{report.files_analyzed} summaries cached"
-    )
     print(
-        f"analyzed {report.files_analyzed} files "
-        f"({source}, {report.wall_s * 1e3:.0f} ms)",
+        f"analyzed {report.files_analyzed} files ({report.wall_s * 1e3:.0f} ms)",
         file=sys.stderr,
     )
     return _report(findings, args.format, PROJECT_RULES)
@@ -99,12 +89,6 @@ def main(argv: list[str] | None = None) -> int:
         metavar="DIR",
         default=None,
         help="run the whole-program DET/PAR/UNIT-X analysis over a source tree",
-    )
-    parser.add_argument(
-        "--cache",
-        metavar="FILE",
-        default=None,
-        help="incremental analysis cache file (with --project)",
     )
     parser.add_argument(
         "--sarif",

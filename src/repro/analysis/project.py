@@ -1,21 +1,16 @@
 """Whole-program analysis driver: ``analyze_project``.
 
-Orchestrates the v2 pipeline::
+Orchestrates the project pipeline::
 
-    files -> summaries (cache-aware) -> ProjectGraph -> ProjectDataflow
+    files -> summaries (one walk each) -> ProjectGraph
           -> DET + PAR + UNIT-X rules -> suppression filter -> findings
 
-The cache (:mod:`repro.analysis.anacache`) short-circuits twice: an
-unchanged file skips re-summarization, and an unchanged *tree* skips
-graph construction and rule evaluation entirely and returns the
-memoized findings.
-
-Suppression policy (stricter than the per-file linter's): a
-``# reprolint: disable=DET001`` on the finding's line silences it **only
-when the directive carries a justification tail** (``-- reason``).  An
-unjustified waiver of a determinism/parallel-safety rule is itself
-reported, with the original finding intact — silencing the analyzer
-must leave a reviewable trace of *why*.
+Suppression policy (stricter than the per-file linter's, same parser):
+a ``# reprolint: disable=DET001`` on the finding's line silences it
+**only when the directive carries a justification tail**
+(``-- reason``).  An unjustified waiver of a determinism/parallel-safety
+rule is itself reported, with the original finding intact — silencing
+the analyzer must leave a reviewable trace of *why*.
 """
 
 from __future__ import annotations
@@ -24,19 +19,16 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.analysis.anacache import AnalysisCache, tree_digest
-from repro.analysis.dataflow import ProjectDataflow
 from repro.analysis.findings import Finding
-from repro.analysis.projectgraph import (
+from repro.analysis.projectgraph import ProjectGraph
+from repro.analysis.rules_det import DET_RULES, check_det
+from repro.analysis.rules_par import PAR_RULES, check_par
+from repro.analysis.summary import (
     ModuleSummary,
-    ProjectGraph,
     iter_project_files,
-    source_digest,
     summarize_file,
     summarize_source,
 )
-from repro.analysis.rules_det import DET_RULES, check_det
-from repro.analysis.rules_par import PAR_RULES, check_par
 from repro.analysis.units import UNITX_RULES, check_units
 from repro.util.errors import ValidationError
 
@@ -51,19 +43,15 @@ PROJECT_RULES: dict[str, str] = {
 
 @dataclass
 class ProjectReport:
-    """What one ``analyze_project`` run produced and how."""
+    """What one ``analyze_project`` run produced."""
 
     findings: list[Finding]
     files_analyzed: int = 0
-    files_from_cache: int = 0
-    memo_hit: bool = False
     wall_s: float = 0.0
     summaries: dict[str, ModuleSummary] = field(default_factory=dict)
 
 
-def build_project_graph(
-    root: str | Path, *, cache: AnalysisCache | None = None
-) -> tuple[ProjectGraph, ProjectReport]:
+def build_project_graph(root: str | Path) -> tuple[ProjectGraph, ProjectReport]:
     """Summarize every file under *root* and assemble the graph.
 
     Exposed separately from :func:`analyze_project` so tests and tooling
@@ -73,25 +61,11 @@ def build_project_graph(
     if not root_path.is_dir():
         raise ValidationError(f"--project root {root_path} is not a directory")
     report = ProjectReport(findings=[])
-    summaries: list[ModuleSummary] = []
     for file in iter_project_files(root_path):
-        source = file.read_text(encoding="utf-8")
-        digest = source_digest(source)
-        summary = None
-        if cache is not None:
-            summary = cache.get_summary(str(file), digest)
-        if summary is not None:
-            report.files_from_cache += 1
-        else:
-            summary = summarize_file(root_path, file)
-            if cache is not None:
-                cache.put_summary(summary)
-        summaries.append(summary)
+        summary = summarize_file(root_path, file)
         report.summaries[summary.path] = summary
-        report.files_analyzed += 1
-    if cache is not None:
-        cache.prune({s.path for s in summaries})
-    return ProjectGraph(summaries), report
+    report.files_analyzed = len(report.summaries)
+    return ProjectGraph(list(report.summaries.values())), report
 
 
 def _apply_suppressions(
@@ -104,14 +78,10 @@ def _apply_suppressions(
         directive = (
             summary.suppressions.get(finding.line) if summary is not None else None
         )
-        if directive is None:
+        if directive is None or not directive.covers(finding.code):
             kept.append(finding)
             continue
-        codes = set(directive["codes"])
-        if finding.code not in codes and "ALL" not in codes:
-            kept.append(finding)
-            continue
-        if directive["justified"]:
+        if directive.justified:
             continue
         kept.append(
             Finding(
@@ -129,91 +99,24 @@ def _apply_suppressions(
     return kept
 
 
-def _run_rules(graph: ProjectGraph, report: ProjectReport) -> list[Finding]:
-    flow = ProjectDataflow(graph)
-    findings: list[Finding] = []
-    for summary in report.summaries.values():
-        if summary.syntax_error is not None:
-            findings.append(
-                Finding(
-                    code="SYN001",
-                    message=f"syntax error: {summary.syntax_error}",
-                    path=summary.path,
-                    line=1,
-                    col=0,
-                )
-            )
-    findings.extend(check_det(flow))
-    findings.extend(check_par(flow))
-    findings.extend(check_units(flow))
-    findings = _apply_suppressions(findings, report.summaries)
+def _run_rules(
+    graph: ProjectGraph, summaries: dict[str, ModuleSummary]
+) -> list[Finding]:
+    findings = [
+        s.syntax_error for s in summaries.values() if s.syntax_error is not None
+    ]
+    findings.extend(check_det(graph))
+    findings.extend(check_par(graph))
+    findings.extend(check_units(graph))
+    findings = _apply_suppressions(findings, summaries)
     return sorted(findings, key=lambda f: (f.path, f.line, f.col, f.code))
 
 
-def analyze_project(
-    root: str | Path, *, cache_path: str | Path | None = None
-) -> ProjectReport:
-    """Run the whole-program DET/PAR/UNIT-X analysis over *root*.
-
-    With *cache_path*, unchanged files are served from the incremental
-    cache and a fully-unchanged tree returns the memoized findings
-    without building the graph; the cache file is created/updated
-    atomically on the way out.  A corrupt cache file raises
-    :class:`~repro.analysis.anacache.AnalysisCacheError`.
-
-    Cached runs additionally serialize against each other through an
-    inter-process :class:`~repro.engine.locks.ShardLock` on
-    ``<cache_path>.lock``: when two ``--project`` invocations share one
-    checkout (e.g. parallel CI legs), the second waits for the first and
-    then replays its freshly warmed memo instead of paying a duplicate
-    cold analysis (the ROADMAP's analysis-cache carry-over).
-    """
-    if cache_path is not None:
-        # Digest computation, memo check, analysis, and save must all sit
-        # inside the lock — otherwise the second run snapshots the tree
-        # before the first has saved and still analyzes cold.
-        from repro.engine.locks import ShardLock
-
-        lock_path = Path(cache_path).with_name(Path(cache_path).name + ".lock")
-        with ShardLock(lock_path).exclusive():
-            return _analyze_project_unlocked(root, cache_path=cache_path)
-    return _analyze_project_unlocked(root, cache_path=None)
-
-
-def _analyze_project_unlocked(
-    root: str | Path, *, cache_path: str | Path | None = None
-) -> ProjectReport:
-    """:func:`analyze_project` body (callers hold the cache lock)."""
+def analyze_project(root: str | Path) -> ProjectReport:
+    """Run the whole-program DET/PAR/UNIT-X analysis over *root*."""
     started = time.perf_counter()
-    cache: AnalysisCache | None = None
-    if cache_path is not None:
-        cache = AnalysisCache(cache_path)
-        cache.load()
-    root_path = Path(root)
-    if not root_path.is_dir():
-        raise ValidationError(f"--project root {root_path} is not a directory")
-    # Tree-level memo: hash all file contents first (cheap), and skip
-    # everything else when nothing changed.
-    digests = {
-        str(file): source_digest(file.read_text(encoding="utf-8"))
-        for file in iter_project_files(root_path)
-    }
-    digest = tree_digest(digests)
-    if cache is not None:
-        memo = cache.get_findings(digest)
-        if memo is not None:
-            return ProjectReport(
-                findings=memo,
-                files_analyzed=len(digests),
-                files_from_cache=len(digests),
-                memo_hit=True,
-                wall_s=time.perf_counter() - started,
-            )
-    graph, report = build_project_graph(root_path, cache=cache)
-    report.findings = _run_rules(graph, report)
-    if cache is not None:
-        cache.put_findings(digest, report.findings)
-        cache.save()
+    graph, report = build_project_graph(root)
+    report.findings = _run_rules(graph, report.summaries)
     report.wall_s = time.perf_counter() - started
     return report
 
@@ -227,8 +130,7 @@ def analyze_source_set(
     at *package*), so fixtures can exercise cross-module resolution
     without touching disk.
     """
-    summaries = []
-    report = ProjectReport(findings=[])
+    summaries: dict[str, ModuleSummary] = {}
     for rel, source in sorted(sources.items()):
         parts = list(Path(rel).parts)
         if parts[-1] == "__init__.py":
@@ -243,7 +145,5 @@ def analyze_source_set(
             path=rel,
             is_package=rel.endswith("__init__.py"),
         )
-        summaries.append(summary)
-        report.summaries[summary.path] = summary
-    graph = ProjectGraph(summaries)
-    return _run_rules(graph, report)
+        summaries[summary.path] = summary
+    return _run_rules(ProjectGraph(list(summaries.values())), summaries)

@@ -1,121 +1,28 @@
-"""Whole-program project graph for ``repro.analysis`` v2.
+"""The project graph: symbols, calls and reachability across modules.
 
-The per-file linter (:mod:`repro.analysis.reprolint`) sees one AST at a
-time, so it cannot answer the questions the DET/PAR/UNIT-X rule families
-ask: *is this function transitively reachable from a pool task?  Does
-this call site feed microseconds into a millisecond parameter defined two
-modules away?*  This module builds the structure those rules need:
-
-1. **Module summaries** (:class:`ModuleSummary`): one pass over each
-   file's AST extracts everything the interprocedural rules will ever
-   ask about — imports, module-level variables, classes/methods, and a
-   :class:`FunctionInfo` per function recording its call sites (with
-   inferred argument units), entropy sites, global-write sites,
-   unordered-iteration sites, local unit conflicts, and task
-   registrations (functions handed to ``.map``/``.submit``/
-   ``.cached_map``).  Summaries are plain-dict serializable, which is
-   what makes the content-hash analysis cache (:mod:`~repro.analysis.
-   anacache`) possible: a warm run never re-parses an unchanged file.
-2. **The project graph** (:class:`ProjectGraph`): resolves imports and
-   re-export chains into a symbol table, resolves call sites into a call
-   graph, and computes transitive reachability from root sets with
-   parent chains (so a finding can say *how* worker code reaches the
-   entropy source).
+The per-file walk (:mod:`repro.analysis.summary`) sees one AST at a
+time, so on its own it cannot answer the questions the DET/PAR/UNIT-X
+rule families ask: *is this function transitively reachable from a pool
+task?  Does this call site feed microseconds into a millisecond
+parameter defined two modules away?*  :class:`ProjectGraph` links the
+per-file :class:`~repro.analysis.summary.ModuleSummary` records into
+the structure those rules need: it resolves imports and re-export
+chains into a symbol table, resolves call sites into a call graph, and
+computes transitive reachability from root sets with parent chains (so
+a finding can say *how* worker code reaches the entropy source).
 
 Resolution is deliberately conservative in both directions: a call that
 cannot be resolved creates no edge (no false reachability through
 ``obj.get(...)``), while attribute calls on unknown receivers fall back
 to project-wide method-name matching only when the name is unambiguous
 enough (not a builtin-container method, few candidates).
-
-Everything here is stdlib-only (``ast`` + ``hashlib``).
 """
 
 from __future__ import annotations
 
-import ast
-import hashlib
-import re
-from dataclasses import dataclass, field
-from pathlib import Path
+from collections import deque
 
-from repro.analysis.units import UnitEnv, local_unit_conflicts, unit_of_name
-
-#: Wall-clock / OS-entropy call names (after alias resolution) that make a
-#: function non-deterministic for DET001.
-ENTROPY_CALLS = {
-    "time.time",
-    "time.time_ns",
-    "time.perf_counter",
-    "time.perf_counter_ns",
-    "time.monotonic",
-    "time.monotonic_ns",
-    "time.process_time",
-    "time.thread_time",
-    "datetime.now",
-    "datetime.utcnow",
-    "datetime.today",
-    "datetime.datetime.now",
-    "datetime.datetime.utcnow",
-    "datetime.datetime.today",
-    "date.today",
-    "datetime.date.today",
-    "os.urandom",
-    "os.getenv",
-    "os.getpid",
-    "uuid.uuid1",
-    "uuid.uuid4",
-    "secrets.token_bytes",
-    "secrets.token_hex",
-    "secrets.randbelow",
-}
-
-#: Module-state RNG namespaces: any attribute call on these is entropy
-#: (the stream is global, so results depend on whatever ran before).
-_RNG_NAMESPACES = ("random.", "np.random.", "numpy.random.")
-
-#: random.* names that are NOT ambient entropy (constructors/seeding get
-#: their own rules in reprolint; construction is not a draw).
-_RNG_EXEMPT = {
-    "random.Random",
-    "random.SystemRandom",
-    "random.seed",
-    "np.random.default_rng",
-    "np.random.Generator",
-    "np.random.RandomState",
-    "np.random.SeedSequence",
-    "numpy.random.default_rng",
-    "numpy.random.Generator",
-    "numpy.random.RandomState",
-    "numpy.random.SeedSequence",
-}
-
-#: Methods that mutate their receiver in place (PAR001 on module state).
-MUTATING_METHODS = {
-    "append",
-    "extend",
-    "insert",
-    "remove",
-    "pop",
-    "popitem",
-    "clear",
-    "add",
-    "discard",
-    "update",
-    "setdefault",
-    "sort",
-    "reverse",
-    "appendleft",
-    "popleft",
-}
-
-#: Attribute-call names that register work on a pool / engine.  Only
-#: attribute calls count (``pool.map``), never the ``map`` builtin.
-TASK_APIS = {"map", "submit", "cached_map"}
-
-#: Iterable-producing calls whose order is filesystem/hash dependent.
-_UNORDERED_CALLS = {"os.listdir", "os.scandir"}
-_UNORDERED_METHODS = {"iterdir", "glob", "rglob"}
+from repro.analysis.summary import FunctionInfo, ModuleSummary
 
 #: Common container/stdlib method names excluded from the unknown-receiver
 #: method-name fallback (an edge to every class with a ``get`` method
@@ -162,752 +69,6 @@ _FALLBACK_BLACKLIST = {
 #: declare the name too ambiguous to create edges.
 _FALLBACK_CAP = 10
 
-#: Line suppressions: ``# reprolint: disable=DET001,PAR001 -- reason``.
-#: The code group deliberately stops before ``-``, so the justification
-#: tail never leaks into the code list.
-_SUPPRESS_RE = re.compile(
-    r"#\s*reprolint:\s*disable=([A-Za-z0-9_,\s]+?)(?:\s*--\s*(.+))?$"
-)
-
-
-def _dotted(node: ast.expr) -> str | None:
-    """``a.b.c`` as a string for Name/Attribute chains, else ``None``."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
-def source_digest(source: str) -> str:
-    """Content hash keying the per-file summary cache."""
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()
-
-
-def parse_suppressions(source: str) -> dict[int, dict]:
-    """Per-line suppression directives: line -> {codes, justified}.
-
-    ``justified`` is whether the directive carries a `` -- reason`` tail;
-    the project rules require one (an unexplained waiver of a
-    determinism/safety rule is itself a finding).
-    """
-    out: dict[int, dict] = {}
-    for lineno, text in enumerate(source.splitlines(), start=1):
-        match = _SUPPRESS_RE.search(text)
-        if not match:
-            continue
-        codes = {c.strip().upper() for c in match.group(1).split(",") if c.strip()}
-        if codes:
-            out[lineno] = {
-                "codes": sorted(codes),
-                "justified": bool(match.group(2) and match.group(2).strip()),
-            }
-    return out
-
-
-@dataclass
-class FunctionInfo:
-    """Everything the rules ask about one function, JSON-shaped.
-
-    ``qualname`` is module-relative (``"_pool_task"``,
-    ``"ParallelMap.map"``).  Nested functions and lambdas are *inlined*
-    into their enclosing function on purpose: if the parent is reachable
-    the closure is conservatively reachable too, which is exactly the
-    assumption a race/determinism audit must make.
-    """
-
-    qualname: str
-    line: int
-    col: int
-    params: list[str] = field(default_factory=list)
-    calls: list[dict] = field(default_factory=list)
-    entropy: list[dict] = field(default_factory=list)
-    global_writes: list[dict] = field(default_factory=list)
-    unordered: list[dict] = field(default_factory=list)
-    unit_conflicts: list[dict] = field(default_factory=list)
-    task_regs: list[dict] = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        return {
-            "qualname": self.qualname,
-            "line": self.line,
-            "col": self.col,
-            "params": self.params,
-            "calls": self.calls,
-            "entropy": self.entropy,
-            "global_writes": self.global_writes,
-            "unordered": self.unordered,
-            "unit_conflicts": self.unit_conflicts,
-            "task_regs": self.task_regs,
-        }
-
-    @classmethod
-    def from_json(cls, raw: dict) -> "FunctionInfo":
-        return cls(**raw)
-
-
-@dataclass
-class ModuleSummary:
-    """One file's contribution to the project graph, JSON-shaped."""
-
-    module: str
-    path: str
-    digest: str
-    is_package: bool = False
-    imports: dict[str, str] = field(default_factory=dict)
-    module_vars: dict[str, dict] = field(default_factory=dict)
-    classes: dict[str, dict] = field(default_factory=dict)
-    functions: dict[str, FunctionInfo] = field(default_factory=dict)
-    suppressions: dict[int, dict] = field(default_factory=dict)
-    syntax_error: str | None = None
-
-    def to_json(self) -> dict:
-        return {
-            "module": self.module,
-            "path": self.path,
-            "digest": self.digest,
-            "is_package": self.is_package,
-            "imports": self.imports,
-            "module_vars": self.module_vars,
-            "classes": self.classes,
-            "functions": {q: f.to_json() for q, f in self.functions.items()},
-            "suppressions": {str(k): v for k, v in self.suppressions.items()},
-            "syntax_error": self.syntax_error,
-        }
-
-    @classmethod
-    def from_json(cls, raw: dict) -> "ModuleSummary":
-        return cls(
-            module=raw["module"],
-            path=raw["path"],
-            digest=raw["digest"],
-            is_package=raw["is_package"],
-            imports=raw["imports"],
-            module_vars=raw["module_vars"],
-            classes=raw["classes"],
-            functions={
-                q: FunctionInfo.from_json(f) for q, f in raw["functions"].items()
-            },
-            suppressions={int(k): v for k, v in raw["suppressions"].items()},
-            syntax_error=raw["syntax_error"],
-        )
-
-
-class _ModuleExtractor(ast.NodeVisitor):
-    """One AST pass filling a :class:`ModuleSummary`."""
-
-    def __init__(self, summary: ModuleSummary) -> None:
-        self.s = summary
-        self._class_stack: list[str] = []
-        self._fn_stack: list[FunctionInfo] = []
-        #: Module-level statements land in a pseudo-function so e.g. a
-        #: task registered at import time is still seen.
-        self._module_fn = FunctionInfo(qualname="<module>", line=1, col=0)
-
-    # -- scope plumbing ----------------------------------------------------
-
-    @property
-    def _fn(self) -> FunctionInfo:
-        return self._fn_stack[-1] if self._fn_stack else self._module_fn
-
-    def _at_module_level(self) -> bool:
-        return not self._fn_stack and not self._class_stack
-
-    # -- imports -----------------------------------------------------------
-
-    def visit_Import(self, node: ast.Import) -> None:
-        for alias in node.names:
-            if alias.asname:
-                self.s.imports[alias.asname] = alias.name
-            else:
-                # ``import a.b.c`` binds ``a``; dotted references resolve
-                # through the full path, so map the head to itself.
-                head = alias.name.split(".")[0]
-                self.s.imports.setdefault(head, head)
-        self.generic_visit(node)
-
-    def _absolute_source(self, node: ast.ImportFrom) -> str:
-        if node.level == 0:
-            return node.module or ""
-        parts = self.s.module.split(".")
-        if not self.s.is_package:
-            parts = parts[:-1]
-        parts = parts[: len(parts) - (node.level - 1)] if node.level > 1 else parts
-        if node.module:
-            parts = parts + node.module.split(".")
-        return ".".join(parts)
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        source = self._absolute_source(node)
-        for alias in node.names:
-            if alias.name == "*":
-                continue
-            bound = alias.asname or alias.name
-            self.s.imports[bound] = f"{source}.{alias.name}" if source else alias.name
-        self.generic_visit(node)
-
-    # -- module-level names ------------------------------------------------
-
-    @staticmethod
-    def _is_mutable_value(node: ast.expr | None) -> bool:
-        if node is None:
-            return False
-        if isinstance(node, (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)):
-            return True
-        if isinstance(node, ast.Call):
-            name = _dotted(node.func)
-            if name is None:
-                return False
-            tail = name.split(".")[-1]
-            return tail in {
-                "list",
-                "dict",
-                "set",
-                "bytearray",
-                "defaultdict",
-                "deque",
-                "Counter",
-                "OrderedDict",
-            }
-        return False
-
-    def _record_module_var(self, name: str, value: ast.expr | None, line: int) -> None:
-        if name == "__all__" or name.startswith("__"):
-            return
-        entry = self.s.module_vars.setdefault(
-            name, {"mutable": False, "line": line}
-        )
-        if self._is_mutable_value(value):
-            entry["mutable"] = True
-
-    # -- classes and functions ---------------------------------------------
-
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        if self._fn_stack:
-            # A class defined inside a function: analyze its methods as
-            # part of the enclosing function (same inlining rule as
-            # nested defs).
-            self.generic_visit(node)
-            return
-        bases = [b for b in (_dotted(base) for base in node.bases) if b]
-        self.s.classes[node.name] = {"bases": bases, "line": node.lineno, "methods": []}
-        self._class_stack.append(node.name)
-        self.generic_visit(node)
-        self._class_stack.pop()
-
-    def _enter_function(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
-        if self._fn_stack:
-            # Nested def: inline into the parent (see FunctionInfo).
-            self.generic_visit(node)
-            return
-        qual = (
-            f"{self._class_stack[-1]}.{node.name}"
-            if self._class_stack
-            else node.name
-        )
-        args = node.args
-        params = [
-            a.arg for a in [*args.posonlyargs, *args.args, *args.kwonlyargs]
-        ]
-        info = FunctionInfo(
-            qualname=qual, line=node.lineno, col=node.col_offset, params=params
-        )
-        # Names declared ``global`` anywhere in the body (incl. nested
-        # defs, which are inlined) — needed while visiting writes.
-        info._globals = self._global_names(node)
-        # Names bound locally (params, assignments, loop/with/except/walrus
-        # targets): a local that shadows an import is not module state, so
-        # attribute writes through it must not count as global writes.
-        info._locals = self._local_bindings(node) - info._globals
-        self.s.functions[qual] = info
-        if self._class_stack:
-            self.s.classes[self._class_stack[-1]]["methods"].append(node.name)
-        self._fn_stack.append(info)
-        self.generic_visit(node)
-        self._fn_stack.pop()
-        self._finish_units(node, info)
-
-    visit_FunctionDef = _enter_function
-    visit_AsyncFunctionDef = _enter_function
-
-    # -- assignments (module vars / global writes) -------------------------
-
-    def _global_names(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:
-        names: set[str] = set()
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Global):
-                names.update(sub.names)
-        return names
-
-    @staticmethod
-    def _bound_names(target: ast.expr) -> set[str]:
-        """Bare names a binding target introduces (tuples recursed)."""
-        if isinstance(target, ast.Name):
-            return {target.id}
-        if isinstance(target, (ast.Tuple, ast.List)):
-            out: set[str] = set()
-            for elt in target.elts:
-                out |= _ModuleExtractor._bound_names(elt)
-            return out
-        if isinstance(target, ast.Starred):
-            return _ModuleExtractor._bound_names(target.value)
-        return set()
-
-    def _local_bindings(
-        self, node: ast.FunctionDef | ast.AsyncFunctionDef
-    ) -> set[str]:
-        """Every name the function body binds locally (params included).
-
-        Walks the whole body — nested defs are inlined, mirroring
-        :meth:`_global_names` — so any bare-name binding site counts:
-        assignments, ``for``/``with``/``except`` targets, walrus, and
-        comprehension variables.
-        """
-        names: set[str] = set()
-        args = node.args
-        for a in [*args.posonlyargs, *args.args, *args.kwonlyargs]:
-            names.add(a.arg)
-        if args.vararg is not None:
-            names.add(args.vararg.arg)
-        if args.kwarg is not None:
-            names.add(args.kwarg.arg)
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Assign):
-                for t in sub.targets:
-                    names |= self._bound_names(t)
-            elif isinstance(sub, (ast.AnnAssign, ast.AugAssign)):
-                names |= self._bound_names(sub.target)
-            elif isinstance(sub, (ast.For, ast.AsyncFor)):
-                names |= self._bound_names(sub.target)
-            elif isinstance(sub, ast.withitem):
-                if sub.optional_vars is not None:
-                    names |= self._bound_names(sub.optional_vars)
-            elif isinstance(sub, ast.NamedExpr):
-                names |= self._bound_names(sub.target)
-            elif isinstance(sub, ast.comprehension):
-                names |= self._bound_names(sub.target)
-            elif isinstance(sub, ast.ExceptHandler):
-                if sub.name is not None:
-                    names.add(sub.name)
-        return names
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        if self._at_module_level():
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    self._record_module_var(target.id, node.value, node.lineno)
-        else:
-            self._check_write_targets(node.targets, node, how="assign")
-        self.generic_visit(node)
-
-    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
-        if self._at_module_level():
-            if isinstance(node.target, ast.Name):
-                self._record_module_var(node.target.id, node.value, node.lineno)
-        else:
-            self._check_write_targets([node.target], node, how="assign")
-        self.generic_visit(node)
-
-    def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        if self._at_module_level():
-            if isinstance(node.target, ast.Name):
-                self._record_module_var(node.target.id, node.value, node.lineno)
-        else:
-            self._check_write_targets([node.target], node, how="augassign")
-        self.generic_visit(node)
-
-    def visit_Global(self, node: ast.Global) -> None:
-        # The write itself is caught by _check_write_targets; the global
-        # statement marks which bare names are module state.
-        self.generic_visit(node)
-
-    def _check_write_targets(
-        self, targets: list[ast.expr], stmt: ast.stmt, how: str
-    ) -> None:
-        """Record writes that touch module-level state from function code.
-
-        A dotted target whose head name the function binds *locally* (and
-        does not declare ``global``) is not module state, however much it
-        shadows an import or a module variable — ``tl = Timeline();
-        tl.cursor = 0`` writes a local object even when ``tl`` is also an
-        imported module's name.
-        """
-        fn = self._fn
-        globals_declared = getattr(fn, "_globals", None)
-        if globals_declared is None:
-            globals_declared = set()
-        locals_bound = getattr(fn, "_locals", None)
-        if locals_bound is None:
-            locals_bound = set()
-        for target in targets:
-            if isinstance(target, ast.Name):
-                if target.id in globals_declared:
-                    fn.global_writes.append(
-                        {
-                            "name": target.id,
-                            "line": stmt.lineno,
-                            "col": stmt.col_offset,
-                            "how": f"global-{how}",
-                        }
-                    )
-            elif isinstance(target, ast.Subscript):
-                base = _dotted(target.value)
-                if (
-                    base is not None
-                    and base.split(".")[0] not in locals_bound
-                    and self._is_module_state(base)
-                ):
-                    fn.global_writes.append(
-                        {
-                            "name": base,
-                            "line": stmt.lineno,
-                            "col": stmt.col_offset,
-                            "how": "subscript",
-                        }
-                    )
-            elif isinstance(target, ast.Attribute):
-                base = _dotted(target.value)
-                if (
-                    base is not None
-                    and base in self.s.imports
-                    and base.split(".")[0] not in locals_bound
-                ):
-                    fn.global_writes.append(
-                        {
-                            "name": f"{base}.{target.attr}",
-                            "line": stmt.lineno,
-                            "col": stmt.col_offset,
-                            "how": "module-attr",
-                        }
-                    )
-
-    def _is_module_state(self, dotted: str) -> bool:
-        head = dotted.split(".")[0]
-        return head in self.s.module_vars or (
-            "." in dotted and head in self.s.imports
-        )
-
-    # -- calls -------------------------------------------------------------
-
-    def _resolve_alias(self, name: str) -> str:
-        """Expand the head of a dotted name through this module's imports.
-
-        ``perf_counter`` -> ``time.perf_counter``; ``dt.now`` ->
-        ``datetime.now`` when ``import datetime as dt``.
-        """
-        head, *rest = name.split(".")
-        target = self.s.imports.get(head)
-        if target is None:
-            return name
-        return ".".join([target, *rest])
-
-    def _classify_entropy(self, resolved: str) -> str | None:
-        if resolved in ENTROPY_CALLS:
-            return "wall-clock/OS entropy" if not resolved.startswith(
-                ("random.", "np.", "numpy.", "secrets.", "uuid.")
-            ) else "ambient entropy"
-        if resolved in _RNG_EXEMPT:
-            return None
-        if resolved.startswith(_RNG_NAMESPACES):
-            return "unseeded module RNG"
-        return None
-
-    def visit_Call(self, node: ast.Call) -> None:
-        fn = self._fn
-        name = _dotted(node.func)
-        if name is not None:
-            resolved = self._resolve_alias(name)
-            kind = self._classify_entropy(resolved)
-            if kind is not None:
-                fn.entropy.append(
-                    {
-                        "name": resolved,
-                        "line": node.lineno,
-                        "col": node.col_offset,
-                        "kind": kind,
-                    }
-                )
-            fn.calls.append(
-                {
-                    "name": name,
-                    "line": node.lineno,
-                    "col": node.col_offset,
-                    "nargs": len(node.args),
-                    "kwargs": sorted(
-                        kw.arg for kw in node.keywords if kw.arg is not None
-                    ),
-                }
-            )
-        self._maybe_task_registration(node, fn)
-        self.generic_visit(node)
-
-    def _maybe_task_registration(self, node: ast.Call, fn: FunctionInfo) -> None:
-        func = node.func
-        if not (isinstance(func, ast.Attribute) and func.attr in TASK_APIS):
-            return
-        if not node.args:
-            return
-        receiver = _dotted(func.value)
-        target = node.args[0]
-        parallel_false = any(
-            kw.arg == "parallel"
-            and isinstance(kw.value, ast.Constant)
-            and kw.value.value is False
-            for kw in node.keywords
-        )
-        entry = {
-            "api": func.attr,
-            "receiver": receiver,
-            "fn": _dotted(target),
-            "is_lambda": isinstance(target, ast.Lambda),
-            "parallel_false": parallel_false,
-            "line": node.lineno,
-            "col": node.col_offset,
-        }
-        fn.task_regs.append(entry)
-
-    # -- os.environ reads --------------------------------------------------
-
-    def visit_Subscript(self, node: ast.Subscript) -> None:
-        base = _dotted(node.value)
-        if base is not None and self._resolve_alias(base) == "os.environ":
-            if not isinstance(node.ctx, ast.Store):
-                self._fn.entropy.append(
-                    {
-                        "name": "os.environ",
-                        "line": node.lineno,
-                        "col": node.col_offset,
-                        "kind": "environment read",
-                    }
-                )
-        self.generic_visit(node)
-
-    def visit_Attribute(self, node: ast.Attribute) -> None:
-        # ``os.environ.get(...)`` / bare ``os.environ`` reads.
-        dotted = _dotted(node)
-        if dotted is not None and self._resolve_alias(dotted) == "os.environ":
-            self._fn.entropy.append(
-                {
-                    "name": "os.environ",
-                    "line": node.lineno,
-                    "col": node.col_offset,
-                    "kind": "environment read",
-                }
-            )
-        # Mutating method calls on module state are caught in visit_Call
-        # via the parent Call node; here we only record the read.
-        self.generic_visit(node)
-
-    # -- unordered iteration (DET002) --------------------------------------
-
-    def _unordered_iterable(self, node: ast.expr) -> str | None:
-        """A human-readable label when *node* iterates in unstable order."""
-        if isinstance(node, ast.Set):
-            return "set literal"
-        if isinstance(node, ast.SetComp):
-            return "set comprehension"
-        if isinstance(node, ast.Call):
-            name = _dotted(node.func)
-            if name is None:
-                return None
-            resolved = self._resolve_alias(name)
-            if resolved in {"set", "frozenset"}:
-                return f"{resolved}(...)"
-            if resolved in _UNORDERED_CALLS:
-                return f"{resolved}(...)"
-            tail = resolved.split(".")[-1]
-            if tail in _UNORDERED_METHODS:
-                return f".{tail}(...)"
-        return None
-
-    def _check_iteration(self, iter_node: ast.expr, where: ast.AST) -> None:
-        label = self._unordered_iterable(iter_node)
-        if label is not None:
-            self._fn.unordered.append(
-                {
-                    "what": label,
-                    "line": getattr(where, "lineno", 1),
-                    "col": getattr(where, "col_offset", 0),
-                }
-            )
-
-    def visit_For(self, node: ast.For) -> None:
-        self._check_iteration(node.iter, node)
-        self.generic_visit(node)
-
-    def _visit_comp(self, node: ast.expr) -> None:
-        for gen in node.generators:
-            self._check_iteration(gen.iter, node)
-        self.generic_visit(node)
-
-    visit_ListComp = _visit_comp
-    visit_SetComp = _visit_comp
-    visit_GeneratorExp = _visit_comp
-    visit_DictComp = _visit_comp
-
-    def visit_Expr(self, node: ast.Expr) -> None:
-        # sorted(...) wrapping is handled by _unordered_iterable never
-        # matching the sorted() call itself.
-        self.generic_visit(node)
-
-    # -- mutating method calls on module state (PAR001) --------------------
-
-    def generic_visit(self, node: ast.AST) -> None:
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            if node.func.attr in MUTATING_METHODS and not self._at_module_level():
-                base = _dotted(node.func.value)
-                if base is not None and base.split(".")[0] in self.s.module_vars:
-                    self._fn.global_writes.append(
-                        {
-                            "name": base,
-                            "line": node.lineno,
-                            "col": node.col_offset,
-                            "how": f".{node.func.attr}()",
-                        }
-                    )
-        super().generic_visit(node)
-
-    # -- per-function unit pass (UNITX001 + call-site arg units) -----------
-
-    def _finish_units(
-        self, node: ast.FunctionDef | ast.AsyncFunctionDef, info: FunctionInfo
-    ) -> None:
-        """Unit inference over the (already-visited) function body.
-
-        Two passes: bind assignment units flow-insensitively, then
-        collect local conflicts and per-call-site argument units for the
-        interprocedural checks.
-        """
-        env = UnitEnv(info.params)
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Assign) and len(sub.targets) == 1:
-                target = sub.targets[0]
-                if isinstance(target, ast.Name):
-                    env.bind(target.id, env.unit_of(sub.value))
-        conflicts: list[dict] = []
-        call_units: dict[tuple[int, int], dict] = {}
-        for sub in ast.walk(node):
-            if isinstance(sub, (ast.BinOp, ast.Compare, ast.AugAssign)):
-                for expr, left, right in local_unit_conflicts(env, sub):
-                    conflicts.append(
-                        {
-                            "line": expr.lineno,
-                            "col": expr.col_offset,
-                            "left": left.key(),
-                            "right": right.key(),
-                        }
-                    )
-            if isinstance(sub, ast.Call) and _dotted(sub.func) is not None:
-                arg_units = [
-                    unit.key() if (unit := env.unit_of(a)) is not None else None
-                    for a in sub.args
-                ]
-                kwarg_units = {
-                    kw.arg: unit.key()
-                    for kw in sub.keywords
-                    if kw.arg is not None
-                    and (unit := env.unit_of(kw.value)) is not None
-                }
-                if any(u is not None for u in arg_units) or kwarg_units:
-                    call_units[(sub.lineno, sub.col_offset)] = {
-                        "args": arg_units,
-                        "kwargs": kwarg_units,
-                    }
-        # Dedup conflicts (AugAssign targets can double-walk).
-        seen: set[tuple] = set()
-        for c in conflicts:
-            key = (c["line"], c["col"], c["left"], c["right"])
-            if key not in seen:
-                seen.add(key)
-                info.unit_conflicts.append(c)
-        for call in info.calls:
-            units = call_units.get((call["line"], call["col"]))
-            if units is not None:
-                call["arg_units"] = units["args"]
-                call["kwarg_units"] = units["kwargs"]
-
-
-def summarize_source(
-    source: str, *, module: str, path: str, is_package: bool = False
-) -> ModuleSummary:
-    """Extract one module's summary from source text."""
-    summary = ModuleSummary(
-        module=module,
-        path=path,
-        digest=source_digest(source),
-        is_package=is_package,
-        suppressions=parse_suppressions(source),
-    )
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        summary.syntax_error = f"line {exc.lineno}: {exc.msg}"
-        return summary
-    extractor = _ModuleExtractor(summary)
-    extractor.visit(tree)
-    if (
-        extractor._module_fn.calls
-        or extractor._module_fn.task_regs
-        or extractor._module_fn.entropy
-    ):
-        summary.functions["<module>"] = extractor._module_fn
-    # Drop the transient _globals/_locals helper attributes before
-    # serialization.
-    for info in summary.functions.values():
-        if hasattr(info, "_globals"):
-            del info._globals
-        if hasattr(info, "_locals"):
-            del info._locals
-    return summary
-
-
-def iter_project_files(root: Path) -> list[Path]:
-    """All ``*.py`` files under *root*, sorted for stable module order."""
-    return sorted(root.rglob("*.py"))
-
-
-def module_name_for(root: Path, file: Path) -> str:
-    """Dotted module name of *file* relative to project *root*.
-
-    When *root* is itself a package (has ``__init__.py``) its name heads
-    every module (``repro.engine.parallel`` for root ``src/repro``);
-    otherwise files are named relative to *root* alone, which is what the
-    fixture projects in the test suite use.
-    """
-    rel = file.relative_to(root)
-    parts = list(rel.parts)
-    if parts[-1] == "__init__.py":
-        parts = parts[:-1]
-    else:
-        parts[-1] = parts[-1][: -len(".py")]
-    if (root / "__init__.py").exists():
-        parts = [root.name, *parts]
-    return ".".join(parts) if parts else root.name
-
-
-def summarize_file(root: Path, file: Path) -> ModuleSummary:
-    source = file.read_text(encoding="utf-8")
-    rel = file.relative_to(root)
-    return summarize_source(
-        source,
-        module=module_name_for(root, file),
-        path=str(file),
-        is_package=rel.parts[-1] == "__init__.py",
-    )
-
-
-@dataclass(frozen=True)
-class CallEdge:
-    """One resolved call edge, with the site that created it."""
-
-    caller: str
-    callee: str
-    line: int
-    col: int
-
 
 class ProjectGraph:
     """Symbol table + call graph over a set of module summaries."""
@@ -925,14 +86,31 @@ class ProjectGraph:
                 if "." in qual:
                     method = qual.split(".")[-1]
                     self._methods.setdefault(method, []).append(fid)
-        self.edges: list[CallEdge] = []
-        self._out: dict[str, list[CallEdge]] = {}
-        self._build_edges()
+        #: function id -> callee ids, call sites first.  A function
+        #: *reference* handed to a task API is a potential indirect call,
+        #: so registrations add edges too: higher-order plumbing
+        #: (``engine.cached_map(task, ...)``) keeps the task reachable.
+        self._out: dict[str, list[str]] = {}
+        for fid, (summary, info) in self.functions.items():
+            names = [name for name, _ in info.calls]
+            names += [reg["fn"] for reg in info.task_regs if reg["fn"]]
+            self._out[fid] = [
+                callee
+                for name in names
+                for callee, _ in self.resolve(summary, info.qualname, name)
+            ]
 
     # -- symbol resolution -------------------------------------------------
 
-    def resolve_symbol(self, dotted: str, *, _depth: int = 0) -> str | None:
-        """A fully-dotted name -> function id, following re-exports."""
+    def resolve_symbol(
+        self, dotted: str, *, _depth: int = 0
+    ) -> tuple[str, str] | None:
+        """A fully-dotted name -> ``(function id, how)``, following re-exports.
+
+        ``how`` is ``"function"``, ``"constructor"`` (a class, resolved
+        to its ``__init__``) or ``"class"`` (``Class.method`` looked up
+        on the class).
+        """
         if _depth > 8:
             return None
         parts = dotted.split(".")
@@ -943,22 +121,11 @@ class ProjectGraph:
                 continue
             rest = parts[cut:]
             if len(rest) == 1:
-                name = rest[0]
-                if name in summary.functions:
-                    return f"{mod_name}::{name}"
-                if name in summary.classes:
-                    init = f"{name}.__init__"
-                    if init in summary.functions:
-                        return f"{mod_name}::{init}"
-                    return None
-                target = summary.imports.get(name)
-                if target is not None:
-                    return self.resolve_symbol(target, _depth=_depth + 1)
-                return None
+                return self._resolve_name(summary, rest[0], _depth + 1)
             if len(rest) == 2:
                 qual = ".".join(rest)
                 if qual in summary.functions:
-                    return f"{mod_name}::{qual}"
+                    return f"{mod_name}::{qual}", "class"
                 # Re-exported class: follow the import then re-append the
                 # method name.
                 target = summary.imports.get(rest[0])
@@ -969,8 +136,21 @@ class ProjectGraph:
             return None
         return None
 
-    def _class_of(self, summary: ModuleSummary, qualname: str) -> str | None:
-        return qualname.split(".")[0] if "." in qualname else None
+    def _resolve_name(
+        self, summary: ModuleSummary, name: str, depth: int
+    ) -> tuple[str, str] | None:
+        """A bare name in *summary*: a function, a class, or an import."""
+        if name in summary.functions:
+            return f"{summary.module}::{name}", "function"
+        if name in summary.classes:
+            init = f"{name}.__init__"
+            if init in summary.functions:
+                return f"{summary.module}::{init}", "constructor"
+            return None
+        target = summary.imports.get(name)
+        if target is not None:
+            return self.resolve_symbol(target, _depth=depth)
+        return None
 
     def _resolve_method(
         self, summary: ModuleSummary, class_name: str, method: str, *, _depth: int = 0
@@ -984,183 +164,131 @@ class ProjectGraph:
         if method in cls["methods"]:
             return f"{summary.module}::{class_name}.{method}"
         for base in cls["bases"]:
-            base_id = self.resolve_symbol(
+            found = self.resolve_symbol(
                 base if "." in base else f"{summary.module}.{base}"
             )
-            # resolve_symbol lands on __init__ for classes; recover the
-            # class location from it.
-            if base_id is None:
+            if found is None:
                 # Try via imports of this module.
                 target = summary.imports.get(base.split(".")[0])
                 if target is None:
                     continue
                 dotted = ".".join([target, *base.split(".")[1:]])
                 base_mod, _, base_cls = dotted.rpartition(".")
-                base_summary = self.modules.get(base_mod)
-                if base_summary is None:
-                    continue
-                found = self._resolve_method(
-                    base_summary, base_cls, method, _depth=_depth + 1
-                )
-                if found is not None:
-                    return found
+            else:
+                # resolve_symbol lands on __init__ for classes; recover the
+                # class location from it.
+                base_mod, _, base_qual = found[0].partition("::")
+                base_cls = base_qual.split(".")[0]
+            base_summary = self.modules.get(base_mod)
+            if base_summary is None:
                 continue
-            base_mod, _, base_qual = base_id.partition("::")
-            base_summary = self.modules[base_mod]
-            base_cls = base_qual.split(".")[0]
-            found = self._resolve_method(
+            hit = self._resolve_method(
                 base_summary, base_cls, method, _depth=_depth + 1
             )
-            if found is not None:
-                return found
+            if hit is not None:
+                return hit
         return None
 
-    def resolve_call(
+    def _candidate(self, fid: str, how: str) -> tuple[str, bool]:
+        """``(fid, bound)``: does the call form supply the first parameter?"""
+        params = self.functions[fid][1].params
+        first = params[0] if params else ""
+        bound = (
+            how == "constructor"
+            or (how == "receiver" and first in ("self", "cls"))
+            or (how == "class" and first == "cls")
+        )
+        return fid, bound
+
+    def resolve(
         self, summary: ModuleSummary, caller_qual: str, name: str
-    ) -> str | None:
-        """Resolve one call-site name written inside a function."""
+    ) -> list[tuple[str, bool]]:
+        """Candidate callees of one call-site name written in *caller_qual*.
+
+        Each candidate is ``(function id, bound)``.  ``bound`` says the
+        call form itself supplies the callee's first parameter: a
+        constructor call, or a method called through a receiver
+        (``self.m(x)``, ``obj.m(x)``).  ``Class.m(inst, x)`` passes
+        ``self`` explicitly; only a classmethod's ``cls`` is bound there.
+        An unknown receiver falls back to project-wide method-name
+        matching: every candidate when the name is unambiguous enough,
+        but a single one only through ``self.x.m`` / ``Class.x`` chains.
+        """
         parts = name.split(".")
         head = parts[0]
         if head in ("self", "cls") and len(parts) == 2:
-            class_name = self._class_of(summary, caller_qual)
-            if class_name is not None:
-                return self._resolve_method(summary, class_name, parts[1])
-            return None
+            class_name = caller_qual.split(".")[0] if "." in caller_qual else None
+            found = (
+                self._resolve_method(summary, class_name, parts[1])
+                if class_name is not None
+                else None
+            )
+            return [self._candidate(found, "receiver")] if found else []
         if len(parts) == 1:
-            if head in summary.functions:
-                return f"{summary.module}::{head}"
-            if head in summary.classes:
-                init = f"{head}.__init__"
-                return (
-                    f"{summary.module}::{init}"
-                    if init in summary.functions
-                    else None
-                )
-            target = summary.imports.get(head)
-            if target is not None:
-                return self.resolve_symbol(target)
-            return None
-        if head in summary.classes and len(parts) == 2:
-            qual = ".".join(parts)
-            if qual in summary.functions:
-                return f"{summary.module}::{qual}"
+            symbol = self._resolve_name(summary, head, 0)
+            return [self._candidate(*symbol)] if symbol else []
+        if head in summary.classes and len(parts) == 2 and name in summary.functions:
+            return [self._candidate(f"{summary.module}::{name}", "class")]
         target = summary.imports.get(head)
         if target is not None:
-            return self.resolve_symbol(".".join([target, *parts[1:]]))
+            symbol = self.resolve_symbol(".".join([target, *parts[1:]]))
+            return [self._candidate(*symbol)] if symbol else []
         # Unknown receiver: project-wide method-name fallback, gated hard.
         method = parts[-1]
-        if method in _FALLBACK_BLACKLIST:
-            return None
         candidates = self._methods.get(method, [])
-        if 0 < len(candidates) <= _FALLBACK_CAP:
-            if len(candidates) == 1:
-                return candidates[0]
-            # Ambiguous: every candidate gets an edge (conservative for
-            # reachability) — handled by the caller via resolve_call_multi.
-            return None
-        return None
-
-    def resolve_call_multi(
-        self, summary: ModuleSummary, caller_qual: str, name: str
-    ) -> list[str]:
-        """Like :meth:`resolve_call` but returns all fallback candidates."""
-        single = self.resolve_call(summary, caller_qual, name)
-        if single is not None:
-            return [single]
-        parts = name.split(".")
-        if len(parts) < 2 or parts[0] in ("self", "cls"):
+        if method in _FALLBACK_BLACKLIST or len(candidates) > _FALLBACK_CAP:
             return []
-        if parts[0] in summary.imports or parts[0] in summary.classes:
+        if len(candidates) > 1 and (head in ("self", "cls") or head in summary.classes):
             return []
-        method = parts[-1]
-        if method in _FALLBACK_BLACKLIST:
-            return []
-        candidates = self._methods.get(method, [])
-        if 1 < len(candidates) <= _FALLBACK_CAP:
-            return list(candidates)
-        return []
+        return [self._candidate(fid, "receiver") for fid in candidates]
 
-    # -- call graph --------------------------------------------------------
+    # -- reachability ------------------------------------------------------
 
-    def _build_edges(self) -> None:
-        for fid, (summary, info) in self.functions.items():
-            qual = info.qualname
-            seen: set[str] = set()
-            for call in info.calls:
-                for callee in self.resolve_call_multi(summary, qual, call["name"]):
-                    if callee == fid:
-                        continue
-                    key = f"{callee}@{call['line']}"
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    edge = CallEdge(
-                        caller=fid,
-                        callee=callee,
-                        line=call["line"],
-                        col=call["col"],
-                    )
-                    self.edges.append(edge)
-                    self._out.setdefault(fid, []).append(edge)
-            # A function *reference* passed into a resolved call is a
-            # potential indirect call — add an edge from the caller so
-            # higher-order plumbing (``engine.cached_map(task, ...)``)
-            # keeps the task reachable.
-            for reg in info.task_regs:
-                if reg["fn"]:
-                    for callee in self.resolve_call_multi(summary, qual, reg["fn"]):
-                        edge = CallEdge(
-                            caller=fid,
-                            callee=callee,
-                            line=reg["line"],
-                            col=reg["col"],
-                        )
-                        self.edges.append(edge)
-                        self._out.setdefault(fid, []).append(edge)
-
-    def callees(self, fid: str) -> list[CallEdge]:
-        return self._out.get(fid, [])
-
-    def reachable_from(self, roots: list[str]) -> dict[str, list[str]]:
+    def reachable_from(self, roots) -> dict[str, list[str]]:
         """BFS closure: function id -> call chain from the nearest root.
 
         The chain starts at the root and ends at the function itself, so
         a finding can render ``root -> a -> b`` as evidence.
         """
         chains: dict[str, list[str]] = {}
-        queue: list[str] = []
+        queue: deque[str] = deque()
         for root in roots:
             if root in self.functions and root not in chains:
                 chains[root] = [root]
                 queue.append(root)
         while queue:
-            current = queue.pop(0)
-            for edge in self.callees(current):
-                if edge.callee not in chains:
-                    chains[edge.callee] = chains[current] + [edge.callee]
-                    queue.append(edge.callee)
+            current = queue.popleft()
+            for callee in self._out.get(current, ()):
+                if callee not in chains:
+                    chains[callee] = chains[current] + [callee]
+                    queue.append(callee)
         return chains
 
-    # -- task roots --------------------------------------------------------
-
-    def worker_task_roots(self) -> dict[str, dict]:
+    def worker_roots(self) -> dict[str, str]:
         """Functions shipped to pools: id -> the registration that did it.
 
         ``cached_map(..., parallel=False)`` registrations are excluded —
         the engine runs those serially in-process by contract.
         """
-        roots: dict[str, dict] = {}
+        roots: dict[str, str] = {}
         for fid, (summary, info) in self.functions.items():
             for reg in info.task_regs:
                 if reg["parallel_false"] or reg["is_lambda"] or not reg["fn"]:
                     continue
-                for target in self.resolve_call_multi(
-                    summary, info.qualname, reg["fn"]
-                ):
-                    roots.setdefault(target, {**reg, "registered_in": fid})
-        return roots
+                for target, _ in self.resolve(summary, info.qualname, reg["fn"]):
+                    roots.setdefault(
+                        target,
+                        f"passed to .{reg['api']}() in {short_id(fid)} "
+                        f"(line {reg['line']})",
+                    )
+        return dict(sorted(roots.items()))
 
 
 def short_id(fid: str) -> str:
     """``module::qualname`` -> the readable ``module.qualname`` form."""
     return fid.replace("::", ".")
+
+
+def render_chain(chain: list[str]) -> str:
+    """A reachability chain as ``root -> a -> b`` for finding messages."""
+    return " -> ".join(short_id(fid) for fid in chain)

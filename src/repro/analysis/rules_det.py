@@ -27,9 +27,8 @@ it to the pool.
 
 from __future__ import annotations
 
-from repro.analysis.dataflow import ProjectDataflow
 from repro.analysis.findings import Finding
-from repro.analysis.projectgraph import short_id
+from repro.analysis.projectgraph import ProjectGraph, render_chain, short_id
 
 #: Rule catalog fragment merged into the CLI/SARIF catalogs.
 DET_RULES: dict[str, str] = {
@@ -37,20 +36,42 @@ DET_RULES: dict[str, str] = {
     "DET002": "unstable-order iteration reachable from a determinism-critical path",
 }
 
+#: Functions whose output keys the result cache or prices the grid:
+#: non-determinism anywhere under these corrupts replay even though no
+#: pool is involved.  Matched by suffix so fixture projects can opt in
+#: with the same spelling.
+DET_FIXED_ROOTS = (
+    "repro.engine.cache::ResultCache.key",
+    "repro.engine.cache::fingerprint",
+    "repro.engine.cache::code_version_salt",
+    "repro.core.problem::evaluate_grid",
+)
 
-def _chain(chain: list[str]) -> str:
-    return " -> ".join(short_id(fid) for fid in chain)
+
+def det_roots(graph: ProjectGraph) -> dict[str, str]:
+    """Determinism roots -> why: pool tasks, then cache keying / grid pricing."""
+    roots = graph.worker_roots()
+    for fixed in DET_FIXED_ROOTS:
+        fixed_mod, fixed_qual = fixed.split("::")
+        mod_tail = fixed_mod.rsplit(".", 1)[-1]
+        for fid in sorted(graph.functions):
+            mod, _, qual = fid.partition("::")
+            if qual != fixed_qual or fid in roots:
+                continue
+            if mod == fixed_mod or mod == mod_tail or mod.endswith(f".{mod_tail}"):
+                roots[fid] = "cache-keying / grid-pricing path"
+    return roots
 
 
-def check_det(flow: ProjectDataflow) -> list[Finding]:
+def check_det(graph: ProjectGraph) -> list[Finding]:
     """All DET findings for the project (suppressions applied later)."""
     findings: list[Finding] = []
-    reachable = flow.det_reachable()
+    roots = det_roots(graph)
+    reachable = graph.reachable_from(roots)
     for fid in sorted(reachable):
         chain = reachable[fid]
-        summary, info = flow.graph.functions[fid]
-        root_reason = flow.root_reason(chain[0])
-        why = f" [{root_reason}]" if root_reason else ""
+        summary, info = graph.functions[fid]
+        evidence = f"{render_chain(chain)} [{roots[chain[0]]}]"
         for site in info.entropy:
             findings.append(
                 Finding(
@@ -58,7 +79,7 @@ def check_det(flow: ProjectDataflow) -> list[Finding]:
                     message=(
                         f"{site['kind']} via {site['name']} in "
                         f"{short_id(fid)}, reachable on a "
-                        f"determinism-critical path: {_chain(chain)}{why}"
+                        f"determinism-critical path: {evidence}"
                     ),
                     path=summary.path,
                     line=site["line"],
@@ -72,7 +93,7 @@ def check_det(flow: ProjectDataflow) -> list[Finding]:
                     message=(
                         f"iteration over {site['what']} (unstable order) in "
                         f"{short_id(fid)}, reachable on a "
-                        f"determinism-critical path: {_chain(chain)}{why}; "
+                        f"determinism-critical path: {evidence}; "
                         "wrap in sorted(...)"
                     ),
                     path=summary.path,

@@ -28,9 +28,8 @@ mutation lives in a helper module that never mentions a pool.
 
 from __future__ import annotations
 
-from repro.analysis.dataflow import ProjectDataflow
 from repro.analysis.findings import Finding
-from repro.analysis.projectgraph import short_id
+from repro.analysis.projectgraph import ProjectGraph, render_chain, short_id
 
 PAR_RULES: dict[str, str] = {
     "PAR001": "module-level state written from pool-worker-reachable code",
@@ -38,17 +37,13 @@ PAR_RULES: dict[str, str] = {
 }
 
 
-def _chain(chain: list[str]) -> str:
-    return " -> ".join(short_id(fid) for fid in chain)
-
-
-def check_par(flow: ProjectDataflow) -> list[Finding]:
+def check_par(graph: ProjectGraph) -> list[Finding]:
     """All PAR findings for the project (suppressions applied later)."""
     findings: list[Finding] = []
-    reachable = flow.worker_reachable()
+    reachable = graph.reachable_from(graph.worker_roots())
     for fid in sorted(reachable):
         chain = reachable[fid]
-        summary, info = flow.graph.functions[fid]
+        summary, info = graph.functions[fid]
         for site in info.global_writes:
             findings.append(
                 Finding(
@@ -56,7 +51,7 @@ def check_par(flow: ProjectDataflow) -> list[Finding]:
                     message=(
                         f"write to module-level state '{site['name']}' "
                         f"({site['how']}) in {short_id(fid)}, which runs in "
-                        f"pool workers: {_chain(chain)}; worker-side writes "
+                        f"pool workers: {render_chain(chain)}; worker-side writes "
                         "never reach the parent process"
                     ),
                     path=summary.path,
@@ -64,7 +59,7 @@ def check_par(flow: ProjectDataflow) -> list[Finding]:
                     col=site["col"],
                 )
             )
-    for fid, (summary, info) in sorted(flow.graph.functions.items()):
+    for fid, (summary, info) in sorted(graph.functions.items()):
         for reg in info.task_regs:
             if reg["parallel_false"]:
                 continue
@@ -94,7 +89,7 @@ def check_par(flow: ProjectDataflow) -> list[Finding]:
                 # parameter, so the *caller's* registration is the one
                 # that gets audited.
                 continue
-            resolved = flow.graph.resolve_call_multi(summary, info.qualname, fn)
+            resolved = graph.resolve(summary, info.qualname, fn)
             if not resolved and fn not in summary.module_vars:
                 # A bare name that is neither a module-level function,
                 # an import, nor a module variable: a local closure or

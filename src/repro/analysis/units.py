@@ -32,11 +32,13 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
+from operator import itemgetter
 
 from repro.analysis.findings import Finding
 
-#: Duration-suffix -> canonical time scale.
-_TIME_SUFFIXES = {
+#: Duration-suffix -> canonical time scale.  UNIT001 accepts exactly
+#: these suffixes, so the two rules never disagree on what carries a unit.
+TIME_SUFFIXES = {
     "_ms": "ms",
     "_us": "us",
     "_ns": "ns",
@@ -95,7 +97,7 @@ def unit_of_name(name: str) -> Unit | None:
     """
     lower = name.lower()
     tokens = [t for t in lower.split("_") if t]
-    for suffix, scale in _TIME_SUFFIXES.items():
+    for suffix, scale in TIME_SUFFIXES.items():
         if lower.endswith(suffix):
             clock = ""
             for token in tokens:
@@ -108,18 +110,6 @@ def unit_of_name(name: str) -> Unit | None:
     if lower.endswith(_COUNT_SUFFIXES) or lower.startswith(_COUNT_PREFIXES):
         return Unit("count")
     return None
-
-
-def unit_to_str(unit: Unit | None) -> str | None:
-    """JSON encoding of a unit (used by the analysis cache)."""
-    return None if unit is None else unit.key()
-
-
-def unit_from_str(raw: str | None) -> Unit | None:
-    if raw is None:
-        return None
-    dim, scale, clock = raw.split(":")
-    return Unit(dim, scale, clock)
 
 
 class UnitEnv:
@@ -234,72 +224,132 @@ UNITX_RULES: dict[str, str] = {
 }
 
 
-def check_units(flow) -> list[Finding]:
-    """All UNIT-X findings for a :class:`~repro.analysis.dataflow.ProjectDataflow`.
+def _unit_env(info) -> UnitEnv:
+    """Bind a function's single-name assignments, in ``ast.walk`` order."""
+    env = UnitEnv(info.params)
+    for _, node in sorted(info.unit_assigns, key=itemgetter(0)):
+        env.bind(node.targets[0].id, env.unit_of(node.value))
+    return env
 
-    UNITX001 reads the per-function conflicts the extractor already
-    found; UNITX002/UNITX003 are the interprocedural checks over the
-    dataflow's unit flows.  (The parameter is duck-typed to avoid a
-    circular import with :mod:`repro.analysis.dataflow`.)
+
+def _bind_units(
+    params: list[str],
+    bound: bool,
+    arg_units: list[Unit | None],
+    kwarg_units: dict[str, Unit],
+) -> dict[str, Unit]:
+    """Match call-site argument units to callee parameter names.
+
+    *bound* (from the resolver) says the call form supplies the callee's
+    first parameter itself — a constructor, or a method called through a
+    receiver — so positional arguments start at the second parameter.
+    ``Class.meth(inst, x)`` passes ``self`` explicitly and binds from the
+    first.
+    """
+    usable = params[1:] if bound else params
+    bindings: dict[str, Unit] = {}
+    for index, unit in enumerate(arg_units):
+        if unit is not None and index < len(usable):
+            bindings[usable[index]] = unit
+    for kw, unit in kwarg_units.items():
+        if kw in params:
+            bindings[kw] = unit
+    return bindings
+
+
+def check_units(graph) -> list[Finding]:
+    """All UNIT-X findings over a :class:`~repro.analysis.projectgraph.ProjectGraph`.
+
+    Unit inference runs here rather than in the per-file walk, so
+    ``lint`` never pays for it.  UNITX001 checks each function's
+    collected arithmetic against its unit environment; UNITX002/UNITX003
+    bind each resolved call site's argument units to the callee's
+    parameters.  Module-level statements are not inferred over.  (The
+    graph is duck-typed to avoid a circular import.)
     """
     from repro.analysis.projectgraph import short_id
+    from repro.analysis.summary import MODULE_SCOPE
 
+    envs = {
+        fid: _unit_env(info)
+        for fid, (_, info) in graph.functions.items()
+        if info.qualname != MODULE_SCOPE
+    }
     findings: list[Finding] = []
-    for fid, (summary, info) in sorted(flow.graph.functions.items()):
-        for conflict in info.unit_conflicts:
-            left = unit_from_str(conflict["left"])
-            right = unit_from_str(conflict["right"])
-            findings.append(
-                Finding(
-                    code="UNITX001",
-                    message=(
-                        f"mixed-unit arithmetic in {short_id(fid)}: "
-                        f"{left.render()} combined with {right.render()}; "
-                        "convert explicitly (multiply/divide) first"
-                    ),
-                    path=summary.path,
-                    line=conflict["line"],
-                    col=conflict["col"],
-                )
-            )
-    # UNITX002 + the per-(callee, param) evidence UNITX003 needs.
-    incoming: dict[tuple[str, str], dict[str, tuple[str, int]]] = {}
-    for summary, info, call, callee_fid, bindings in flow.unit_flows():
-        _, callee = flow.graph.functions[callee_fid]
-        for param, unit in bindings.items():
-            declared = unit_of_name(param)
-            if declared is not None:
-                if declared.conflicts_with(unit):
-                    findings.append(
-                        Finding(
-                            code="UNITX002",
-                            message=(
-                                f"argument carrying {unit.render()} flows "
-                                f"into parameter '{param}' "
-                                f"({declared.render()}) of "
-                                f"{short_id(callee_fid)}"
-                            ),
-                            path=summary.path,
-                            line=call["line"],
-                            col=call["col"],
-                        )
+    for fid, (summary, info) in sorted(graph.functions.items()):
+        if fid not in envs:
+            continue
+        seen: set[tuple] = set()
+        for _, node in sorted(info.unit_exprs, key=itemgetter(0)):
+            for expr, left, right in local_unit_conflicts(envs[fid], node):
+                key = (expr.lineno, expr.col_offset, left, right)
+                if key in seen:
+                    continue
+                seen.add(key)
+                findings.append(
+                    Finding(
+                        code="UNITX001",
+                        message=(
+                            f"mixed-unit arithmetic in {short_id(fid)}: "
+                            f"{left.render()} combined with {right.render()}; "
+                            "convert explicitly (multiply/divide) first"
+                        ),
+                        path=summary.path,
+                        line=expr.lineno,
+                        col=expr.col_offset,
                     )
-            else:
-                sites = incoming.setdefault((callee_fid, param), {})
-                sites.setdefault(unit.key(), (summary.path, call["line"]))
+                )
+    # UNITX002 + the per-(callee, param) evidence UNITX003 needs.
+    incoming: dict[tuple[str, str], dict[str, tuple[Unit, str, int]]] = {}
+    for fid, (summary, info) in graph.functions.items():
+        env = envs.get(fid)
+        if env is None:
+            continue
+        for name, call in info.calls:
+            arg_units = [env.unit_of(a) for a in call.args]
+            kwarg_units = {
+                kw.arg: unit
+                for kw in call.keywords
+                if kw.arg is not None and (unit := env.unit_of(kw.value)) is not None
+            }
+            if all(u is None for u in arg_units) and not kwarg_units:
+                continue
+            for callee_fid, bound in graph.resolve(summary, info.qualname, name):
+                params = graph.functions[callee_fid][1].params
+                bindings = _bind_units(params, bound, arg_units, kwarg_units)
+                for param, unit in bindings.items():
+                    declared = unit_of_name(param)
+                    if declared is None:
+                        sites = incoming.setdefault((callee_fid, param), {})
+                        sites.setdefault(unit.key(), (unit, summary.path, call.lineno))
+                    elif declared.conflicts_with(unit):
+                        findings.append(
+                            Finding(
+                                code="UNITX002",
+                                message=(
+                                    f"argument carrying {unit.render()} flows "
+                                    f"into parameter '{param}' "
+                                    f"({declared.render()}) of "
+                                    f"{short_id(callee_fid)}"
+                                ),
+                                path=summary.path,
+                                line=call.lineno,
+                                col=call.col_offset,
+                            )
+                        )
     for (callee_fid, param), sites in sorted(incoming.items()):
-        units = [unit_from_str(k) for k in sorted(sites)]
+        units = [sites[key][0] for key in sorted(sites)]
         conflicting = any(
             a.conflicts_with(b)
             for i, a in enumerate(units)
             for b in units[i + 1 :]
         )
-        if len(units) < 2 or not conflicting:
+        if not conflicting:
             continue
-        callee_summary, callee = flow.graph.functions[callee_fid]
+        callee_summary, callee = graph.functions[callee_fid]
         evidence = "; ".join(
-            f"{unit_from_str(key).render()} from {path}:{line}"
-            for key, (path, line) in sorted(sites.items())
+            f"{unit.render()} from {path}:{line}"
+            for _, (unit, path, line) in sorted(sites.items())
         )
         findings.append(
             Finding(

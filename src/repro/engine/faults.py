@@ -296,7 +296,7 @@ def arm_synth_faults(plan: FaultPlan | None) -> None:
     from the moment of arming — the property that makes a chaos scenario
     replay identically run after run.
     """
-    _SYNTH_STATE["plan"] = plan  # reprolint: disable=PAR001 -- process-global chaos arming; workers materialize nothing (parent-side seeding)
+    _SYNTH_STATE["plan"] = plan
     _SYNTH_STATE["count"] = 0
 
 
@@ -318,7 +318,7 @@ def synth_fault_point(label: str, *, in_worker: bool = False) -> None:
     if plan is None:
         return
     index = int(_SYNTH_STATE["count"])  # type: ignore[call-overload]
-    _SYNTH_STATE["count"] = index + 1  # reprolint: disable=PAR001 -- process-global chaos counter; parent-side materialization only
+    _SYNTH_STATE["count"] = index + 1
     for spec in plan.synth_specs(index):
         if spec.kind == "crash_synth":
             if in_worker:  # pragma: no cover - workers never materialize

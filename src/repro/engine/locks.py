@@ -2,22 +2,17 @@
 
 The engine's :class:`~repro.engine.cache.ResultCache` writes atomically
 (temp file + ``os.replace``), which keeps *readers* safe, but once several
-long-running serving workers share one cache directory two gaps open up:
+long-running serving workers share one cache directory, concurrent
+writers may both pay for the same missing entry (duplicate work).
 
-* concurrent writers may both pay for the same missing entry (duplicate
-  work — the ROADMAP's known carry-over gap), and
-* multi-file updates (the analysis cache's load -> analyze -> save cycle)
-  can interleave, so both runs pay a cold analysis.
-
-:class:`ShardLock` closes both with an advisory ``fcntl.flock`` on a
+:class:`ShardLock` closes that gap with an advisory ``fcntl.flock`` on a
 dedicated ``*.lock`` file next to the guarded data.  Each acquisition
 opens its *own* file descriptor, so one lock object is safe to share
 across threads and survives ``fork`` (flock ownership follows the open
 file description, and a fresh descriptor per acquire means no
 accidental sharing).  Locks are advisory: every cooperating writer must
 go through the same lock path, which
-:class:`~repro.engine.sharded.ShardedResultCache` and
-:func:`repro.analysis.project.analyze_project` do.
+:class:`~repro.engine.sharded.ShardedResultCache` does.
 
 On platforms without ``fcntl`` (Windows) the lock degrades to a no-op —
 single-process correctness is unaffected (atomic replaces still hold);

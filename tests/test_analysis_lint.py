@@ -2,6 +2,8 @@
 
 from pathlib import Path
 
+import pytest
+
 from repro.analysis.reprolint import RULES, lint_file, lint_paths, lint_source
 
 SRC_ROOT = Path(__file__).resolve().parent.parent / "src" / "repro"
@@ -104,6 +106,41 @@ class TestSim001:
     def test_outside_simulator_scope_ok(self):
         src = "import time\ndef f():\n    return time.perf_counter()\n"
         assert lint_source(src, "repro/experiments/__main__.py") == []
+
+
+class TestAliasedImports:
+    """SIM001 and RNG001 resolve names through the file's import table."""
+
+    @pytest.mark.parametrize(
+        "src, path, code",
+        [
+            (
+                "import time as t\ndef f():\n    return t.perf_counter()\n",
+                "repro/platform/foo.py",
+                "SIM001",
+            ),
+            (
+                "import datetime as dt\ndef f():\n    return dt.datetime.now()\n",
+                "repro/platform/foo.py",
+                "SIM001",
+            ),
+            (
+                "import numpy as xp\ndef f():\n    return xp.random.rand()\n",
+                "repro/sparse/foo.py",
+                "RNG001",
+            ),
+            (
+                "from numpy import random as npr\ndef f():\n    return npr.rand()\n",
+                "repro/sparse/foo.py",
+                "RNG001",
+            ),
+        ],
+        ids=["time-as-t", "datetime-as-dt", "numpy-as-xp", "random-as-npr"],
+    )
+    def test_aliased_import_flagged(self, src, path, code):
+        findings = lint_source(src, path)
+        assert codes(findings) == [code]
+        assert findings[0].line == 3
 
 
 class TestUnit001:

@@ -5,32 +5,35 @@ Covers the acceptance contract from docs/ANALYSIS.md §Project analysis:
 * every rule family fires on a fixture, including interprocedural cases
   the per-file linter provably misses;
 * the suppression policy (justified directives silence, unjustified ones
-  are themselves reported);
-* the incremental cache (file-level reuse, whole-tree memo, corrupt-file
-  rejection, silent format-upgrade rebuild) and the warm <= 25% of cold
-  wall-time bound;
+  are themselves reported), against the linter's on one parser;
+* every shipped waiver still suppresses something;
 * the ``--project`` CLI: exit codes 0/1/2 and the SARIF 2.1 report.
 """
 
 from __future__ import annotations
 
+import io
 import json
+import re
+import shutil
 import textwrap
+import tokenize
+from pathlib import Path
 
 import pytest
 
 from repro.analysis import (
-    AnalysisCache,
-    AnalysisCacheError,
     PROJECT_RULES,
     analyze_project,
     lint_paths,
+    lint_source,
     to_sarif,
 )
 from repro.analysis.__main__ import main as analysis_main
-from repro.analysis.anacache import CACHE_FORMAT
 from repro.analysis.project import analyze_source_set
 from repro.analysis.sarif import SARIF_SCHEMA, SARIF_VERSION, sarif_to_json
+
+SRC_ROOT = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 
 def codes(findings):
@@ -64,6 +67,14 @@ DET_TREE = {
         def helper(x):
             return time.time() + x
         """,
+}
+
+
+#: A small clean tree for the CLI tests.
+TREE = {
+    "pkg/__init__.py": "",
+    "pkg/a.py": "def alpha(x):\n    return x + 1\n",
+    "pkg/b.py": "def beta(x):\n    return x * 2\n",
 }
 
 
@@ -291,6 +302,62 @@ def go():
         assert codes(findings) == ["UNITX002"]
         assert findings[0].path == "caller.py"
 
+    TIMER = """\
+class Timer:
+    def __init__(self, budget_ms, slack_us):
+        self.budget_ms = budget_ms
+        self.slack_us = slack_us
+"""
+
+    def test_unitx002_constructor_binds_after_self(self):
+        findings = analyze_source_set(
+            {
+                "timer.py": self.TIMER
+                + "\n\ndef make(a_ms, b_us):\n    return Timer(a_ms, b_us)\n"
+            }
+        )
+        assert findings == []
+
+    def test_unitx002_constructor_argument_mismatch(self):
+        findings = analyze_source_set(
+            {
+                "timer.py": self.TIMER
+                + "\n\ndef make(a_us):\n    return Timer(a_us, 0)\n"
+            }
+        )
+        assert codes(findings) == ["UNITX002"]
+        assert "'budget_ms'" in findings[0].message
+
+    def test_unitx002_imported_constructor(self):
+        findings = analyze_source_set(
+            {
+                "timer.py": self.TIMER,
+                "use.py": (
+                    "from timer import Timer\n\n"
+                    "def make(a_us):\n    return Timer(a_us, 0)\n"
+                ),
+            }
+        )
+        assert codes(findings) == ["UNITX002"]
+        assert findings[0].path == "use.py"
+
+    def test_unitx002_class_qualified_call_passes_self(self):
+        findings = analyze_source_set(
+            {
+                "meter.py": """\
+class Meter:
+    def add(self, span_ms):
+        return span_ms
+
+
+def use(meter, t_us):
+    return Meter.add(meter, t_us)
+"""
+            }
+        )
+        assert codes(findings) == ["UNITX002"]
+        assert "'span_ms'" in findings[0].message
+
     def test_unitx003_conflicting_units_across_call_sites(self):
         findings = analyze_source_set(
             {
@@ -342,6 +409,33 @@ def work(x):
         assert codes(findings) == ["DET001"]
         assert "unjustified" not in findings[0].message
 
+    @pytest.mark.parametrize(
+        "directive, justified",
+        [
+            ("{code}", False),
+            ("{code},PAR001", False),
+            ("all", False),
+            ("{code} -- telemetry only", True),
+            ("{code}  # noqa", False),
+        ],
+    )
+    def test_one_parser_two_policies(self, directive, justified):
+        # Both commands read the same directive: lint drops any finding it
+        # names; the project rules also need the '-- reason' tail.
+        def source(code):
+            comment = "  # reprolint: disable=" + directive.format(code=code)
+            return self.SRC.format(directive=comment)
+
+        path = "repro/platform/s.py"
+        assert codes(lint_source(self.SRC.format(directive=""), path)) == ["SIM001"]
+        assert lint_source(source("SIM001"), path) == []
+        findings = analyze_source_set({"s.py": source("DET001")})
+        if justified:
+            assert findings == []
+        else:
+            assert codes(findings) == ["DET001"]
+            assert "unjustified" in findings[0].message
+
 
 class TestPerFileLinterMissesWhatProjectCatches:
     def test_interprocedural_det_invisible_per_file(self, tmp_path):
@@ -359,80 +453,6 @@ class TestSyntaxErrors:
         assert codes(report.findings) == ["SYN001"]
 
 
-class TestIncrementalCache:
-    TREE = {
-        "pkg/__init__.py": "",
-        "pkg/a.py": "def alpha(x):\n    return x + 1\n",
-        "pkg/b.py": "def beta(x):\n    return x * 2\n",
-    }
-
-    def test_second_run_is_a_memo_hit_with_equal_findings(self, tmp_path):
-        root = write_tree(tmp_path / "src", DET_TREE)
-        cache = tmp_path / "cache.json"
-        cold = analyze_project(root, cache_path=cache)
-        warm = analyze_project(root, cache_path=cache)
-        assert not cold.memo_hit and warm.memo_hit
-        assert warm.findings == cold.findings
-
-    def test_editing_one_file_reuses_the_other_summaries(self, tmp_path):
-        root = write_tree(tmp_path / "src", self.TREE)
-        cache = tmp_path / "cache.json"
-        analyze_project(root, cache_path=cache)
-        (root / "pkg" / "a.py").write_text(
-            "def alpha(x):\n    return x + 2\n", encoding="utf-8"
-        )
-        report = analyze_project(root, cache_path=cache)
-        assert not report.memo_hit
-        assert report.files_analyzed == 3
-        assert report.files_from_cache == 2
-
-    def test_corrupt_cache_raises_with_clear_message(self, tmp_path):
-        root = write_tree(tmp_path / "src", self.TREE)
-        cache = tmp_path / "cache.json"
-        cache.write_text("{not json", encoding="utf-8")
-        with pytest.raises(AnalysisCacheError, match="delete it and re-run"):
-            analyze_project(root, cache_path=cache)
-
-    def test_wrong_shape_cache_is_corrupt(self, tmp_path):
-        cache = tmp_path / "cache.json"
-        cache.write_text(json.dumps([1, 2, 3]), encoding="utf-8")
-        store = AnalysisCache(cache)
-        with pytest.raises(AnalysisCacheError):
-            store.load()
-
-    def test_format_mismatch_rebuilds_silently(self, tmp_path):
-        root = write_tree(tmp_path / "src", self.TREE)
-        cache = tmp_path / "cache.json"
-        cache.write_text(
-            json.dumps({"format": CACHE_FORMAT + 1, "files": {}, "tree": None}),
-            encoding="utf-8",
-        )
-        report = analyze_project(root, cache_path=cache)  # must not raise
-        assert report.files_from_cache == 0
-        # The rebuilt cache is current-format and serves the next run.
-        assert analyze_project(root, cache_path=cache).memo_hit
-
-    def test_warm_run_is_at_most_a_quarter_of_cold(self, tmp_path):
-        # A synthetic tree big enough that parsing dominates the cold run.
-        body = "\n\n".join(
-            f"def fn_{i}(x):\n"
-            f"    y = x + {i}\n"
-            f"    for j in range(10):\n"
-            f"        y += j * {i}\n"
-            f"    return y" for i in range(40)
-        )
-        files = {f"pkg/mod_{i}.py": body for i in range(30)}
-        files["pkg/__init__.py"] = ""
-        root = write_tree(tmp_path / "src", files)
-        cache = tmp_path / "cache.json"
-        cold = analyze_project(root, cache_path=cache)
-        warm = analyze_project(root, cache_path=cache)
-        assert warm.memo_hit
-        assert warm.wall_s <= 0.25 * cold.wall_s, (
-            f"warm {warm.wall_s:.3f}s vs cold {cold.wall_s:.3f}s"
-        )
-
-
 class TestShippedTreeIsClean:
     def test_src_repro_has_no_unsuppressed_findings(self):
         report = analyze_project("src/repro")
@@ -440,9 +460,55 @@ class TestShippedTreeIsClean:
         assert report.files_analyzed > 50
 
 
+class TestEveryWaiverSuppressesSomething:
+    """A shipped ``reprolint: disable`` that silences nothing is stale."""
+
+    DIRECTIVE = re.compile(r"#\s*reprolint:\s*disable=([A-Za-z0-9_,\s]+)")
+
+    def test_each_stripped_directive_exposes_a_finding(self, tmp_path):
+        root = tmp_path / "repro"
+        shutil.copytree(
+            SRC_ROOT, root, ignore=shutil.ignore_patterns("__pycache__")
+        )
+        stripped: dict[tuple[str, int], set[str]] = {}
+        for file in sorted(root.rglob("*.py")):
+            text = file.read_text(encoding="utf-8")
+            lines = text.splitlines(keepends=True)
+            for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+                # Directive comments only; prose quoting the syntax stays.
+                match = (
+                    self.DIRECTIVE.match(tok.string)
+                    if tok.type == tokenize.COMMENT
+                    else None
+                )
+                if match is None:
+                    continue
+                row, col = tok.start
+                stripped[(str(file), row)] = {
+                    c.strip().upper() for c in match.group(1).split(",") if c.strip()
+                }
+                line = lines[row - 1]
+                end = "\n" if line.endswith("\n") else ""
+                lines[row - 1] = line[:col].rstrip() + end
+            file.write_text("".join(lines), encoding="utf-8")
+        assert stripped, "expected reprolint directives under src/repro"
+        exposed: dict[tuple[str, int], set[str]] = {}
+        for finding in lint_paths([root]) + analyze_project(root).findings:
+            exposed.setdefault((finding.path, finding.line), set()).add(finding.code)
+        stale = [
+            f"{Path(path).relative_to(root)}:{line} ({','.join(sorted(wanted))})"
+            for (path, line), wanted in sorted(stripped.items())
+            if not (
+                wanted & exposed.get((path, line), set())
+                or ("ALL" in wanted and (path, line) in exposed)
+            )
+        ]
+        assert stale == []
+
+
 class TestProjectCli:
     def test_clean_tree_exits_zero(self, tmp_path, capsys):
-        root = write_tree(tmp_path / "src", TestIncrementalCache.TREE)
+        root = write_tree(tmp_path / "src", TREE)
         assert analysis_main(["--project", str(root)]) == 0
         out = capsys.readouterr()
         assert "clean: no findings" in out.out
@@ -452,15 +518,6 @@ class TestProjectCli:
         root = write_tree(tmp_path / "src", DET_TREE)
         assert analysis_main(["--project", str(root)]) == 1
         assert "DET001" in capsys.readouterr().out
-
-    def test_corrupt_cache_is_a_clear_usage_error(self, tmp_path, capsys):
-        root = write_tree(tmp_path / "src", TestIncrementalCache.TREE)
-        cache = tmp_path / "cache.json"
-        cache.write_text("garbage", encoding="utf-8")
-        code = analysis_main(["--project", str(root), "--cache", str(cache)])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "corrupt" in err and "delete it and re-run" in err
 
     def test_missing_root_is_a_usage_error(self, tmp_path, capsys):
         code = analysis_main(["--project", str(tmp_path / "nope")])
@@ -533,7 +590,7 @@ class TestSarif:
         assert sarif_to_json(doc) == sarif_to_json(json.loads(sarif_to_json(doc)))
 
     def test_format_sarif_prints_document(self, tmp_path, capsys):
-        root = write_tree(tmp_path / "src", TestIncrementalCache.TREE)
+        root = write_tree(tmp_path / "src", TREE)
         assert analysis_main(["--project", str(root), "--format", "sarif"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["version"] == "2.1.0"

@@ -1,4 +1,4 @@
-"""Inter-process locking: ShardLock, ShardedResultCache, anacache guard.
+"""Inter-process locking: ShardLock and ShardedResultCache.
 
 The serving acceptance criteria this file pins down:
 
@@ -9,14 +9,10 @@ The serving acceptance criteria this file pins down:
   exclusive flock across re-check -> compute -> store, so two processes
   sharing one cache directory compute every cold key **exactly once**
   and corrupt nothing.
-* ``analyze_project`` runs sharing one ``--ana-cache`` file serialize:
-  concurrent warm runs don't duplicate the cold analysis (the ROADMAP's
-  analysis-cache carry-over).
 """
 
 from __future__ import annotations
 
-import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -172,46 +168,3 @@ class TestSharedCacheDirectory:
         assert not list(Path(tmp_path).rglob("*.corrupt"))
         for i in range(n_keys):
             assert cache.get({"kind": "race", "i": i}) == {"value": i * i}
-
-
-# ---------------------------------------------------------------------------
-# analyze_project cache locking (the ROADMAP carry-over)
-
-
-_TREE = {
-    "pkg/__init__.py": '"""Fixture package."""\n\n__all__ = []\n',
-    "pkg/mod.py": (
-        '"""Fixture module."""\n\n\ndef double(x):\n    return 2 * x\n'
-    ),
-}
-
-
-def _analyze_once(args: tuple[str, str]) -> dict:
-    root, cache_path = args
-    from repro.analysis.project import analyze_project
-
-    report = analyze_project(root, cache_path=cache_path)
-    return {
-        "memo_hit": report.memo_hit,
-        "findings": [f.code for f in report.findings],
-    }
-
-
-class TestConcurrentProjectAnalysis:
-    def test_concurrent_warm_runs_share_one_cold_analysis(self, tmp_path):
-        root = tmp_path / "tree"
-        for rel, source in _TREE.items():
-            path = root / rel
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(source)
-        cache_path = str(tmp_path / "ana-cache.json")
-        with ProcessPoolExecutor(max_workers=2) as pool:
-            results = list(
-                pool.map(_analyze_once, [(str(root), cache_path)] * 2)
-            )
-        # The lock serializes the two runs: exactly one analyzes cold,
-        # the other replays the freshly warmed memo.
-        assert sorted(r["memo_hit"] for r in results) == [False, True]
-        assert results[0]["findings"] == results[1]["findings"]
-        # And the cache file survived as valid JSON (no torn write).
-        json.loads(Path(cache_path).read_text())

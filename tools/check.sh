@@ -2,14 +2,14 @@
 # Local gate, mirroring .github/workflows/ci.yml step for step: the
 # repo-invariant lint (src/repro, which includes the src/repro/engine
 # package), the whole-program project analysis (determinism /
-# parallel-safety / unit rules over the project graph), the API surface
-# snapshot (docs/API.md vs the live surface), the engine test suite,
-# the chaos suite, a cross-process warm replay of table1, the cluster
-# experiments, the dynamic re-balancing experiments, then the full tier-1
-# test suite.
+# parallel-safety / unit rules over the project graph), the analyzer's
+# own test suites, the API surface snapshot (docs/API.md vs the live
+# surface), the engine test suite, the chaos suite, a cross-process warm
+# replay of table1, the cluster experiments, the dynamic re-balancing
+# experiments, then the full tier-1 test suite.
 # Run from the repository root:
 #
-#     tools/check.sh            # lint + analysis + API snapshot + tests
+#     tools/check.sh            # lint + project analysis + tests
 #     tools/check.sh --lint-only
 set -euo pipefail
 
@@ -27,6 +27,14 @@ python -m repro.analysis --project src/repro
 if [[ "${1:-}" == "--lint-only" ]]; then
     exit 0
 fi
+
+echo
+echo "== analyzer tests =="
+python -m pytest -x -q \
+    tests/test_analysis_lint.py \
+    tests/test_analysis_project.py \
+    tests/test_analysis_cli.py \
+    tests/test_analysis_hazards.py
 
 echo
 echo "== API surface snapshot (docs/API.md) =="
