@@ -8,18 +8,18 @@ what was computed, and return everything in input order.
 
 Engines are shared per ``(workers, cache directory, fault-tolerance
 settings)`` via :func:`get_engine`, so one CLI invocation running several
-experiments reuses a single worker pool and accumulates one set of
-hit/miss counters (:func:`aggregate_stats` feeds the run summary and the
-benchmark report).  Degradation is part of the contract: an engine whose
-pool crashed, timed out, or permanently fell back to serial reports it in
-:class:`EngineStats` (``retries`` / ``timeouts`` / ``quarantined`` /
-``cache_corrupt`` / ``effective_workers`` / ``degraded``) instead of
-silently pretending the configured width was used.
+experiments shares one :class:`~repro.engine.parallel.ParallelMap` and
+accumulates one set of hit/miss counters (:func:`aggregate_stats` feeds
+the run summary and the benchmark report).  Degradation is part of the
+contract: an engine whose pool crashed, timed out, or permanently fell
+back to serial reports it in :class:`EngineStats` (``retries`` /
+``timeouts`` / ``quarantined`` / ``cache_corrupt`` /
+``effective_workers`` / ``degraded``) instead of silently pretending the
+configured width was used.
 """
 
 from __future__ import annotations
 
-import atexit
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence, TypeVar
@@ -316,7 +316,7 @@ def aggregate_stats() -> dict:
 
 
 def shutdown_engines() -> None:
-    """Close every shared engine's worker pool and forget them (tests).
+    """Close every shared engine and forget them (tests).
 
     Also disarms any process-globally armed synthesis faults, so a chaos
     engine cleaned up here cannot leak its plan into later runs.
@@ -325,9 +325,3 @@ def shutdown_engines() -> None:
         engine.close()
     _ENGINES.clear()
     arm_synth_faults(None)
-
-
-# Shared pools must not outlive the interpreter's orderly shutdown phase:
-# an executor reaped by garbage collection during finalization raises a
-# noisy (harmless) "Exception ignored" from its weakref callback.
-atexit.register(shutdown_engines)

@@ -1,11 +1,26 @@
-"""Ordered, fault-tolerant fan-out over picklable tasks.
+"""Ordered, fault-tolerant fan-out over index-addressed tasks.
 
 :class:`ParallelMap` is the engine's single parallelism primitive: an
 order-preserving ``map`` with two backends — in-process serial execution
-(``workers <= 1``) and a :class:`concurrent.futures.ProcessPoolExecutor`
+(``workers <= 1``) and a pool of forked worker processes
 (``workers > 1``).  Everything above it (the exhaustive oracle's
 per-threshold sweep, the per-dataset study loop, the sensitivity grids) is
 embarrassingly parallel, so one primitive suffices.
+
+Transport
+---------
+A pooled ``map()`` forks its :class:`concurrent.futures.ProcessPoolExecutor`
+only once its payload list exists.  The pool initializer
+(:func:`_install_map`) hands every worker the map's task function,
+payloads, fault plan and obs flag; under the ``fork`` start method those
+arguments are inherited copy-on-write and never pickled.  A task message
+carries only its payload index and attempt number; results still pickle
+back.  The pool lives for one ``map()`` call: its workers are killed
+when the call ends and only then reaped, so a wedged worker cannot hold
+the caller.  A fresh pool after a crash, a hang or a failed task
+re-inherits the same table from the parent's untouched payloads.  Where ``fork`` is missing
+(Windows) or unsafe (macOS, where CPython defaults to ``spawn``), the
+map takes the recorded serial fallback as soon as it is built.
 
 Determinism contract
 --------------------
@@ -45,14 +60,16 @@ once, and reports :attr:`effective_workers` ``= 1`` / :attr:`degraded`
 ``= True`` so bench reports stop claiming a parallelism that was not
 actually used.
 
-Task functions handed to the process backend must be module-level
-(picklable by reference); payloads and results must pickle.  If the host
-cannot start a process pool at all (restricted sandboxes), the map
-degrades to the serial backend rather than failing the run.
+Only results cross a pickling boundary: the task function and payloads
+reach workers by inheritance (lint rule PAR002 still asks for
+module-level task functions).  If the host cannot start a process pool
+at all (restricted sandboxes), the map degrades to the serial backend
+rather than failing the run.
 """
 
 from __future__ import annotations
 
+import sys
 import time
 import warnings
 from contextlib import nullcontext
@@ -81,6 +98,26 @@ _MAX_BACKOFF_S = 2.0
 #: Minimum pool-wait slice so a nearly-expired deadline still polls once.
 _MIN_WAIT_S = 0.01
 
+#: Bound on reaping a killed pool's workers and manager thread (a killed
+#: process exits at once; the bound only guards a pathological host).
+_REAP_S = 5.0
+
+#: The map a pool worker serves, set by :func:`_install_map`:
+#: ``(fn, payloads, op, fault_plan, observe)``.
+_WORKER_MAP: tuple = ()
+
+
+def _fork_context():
+    """The ``fork`` multiprocessing context, or ``None`` where pooled maps
+    must not fork: Windows has no ``fork``, and on macOS it is unsafe
+    (CPython itself defaults to ``spawn`` there)."""
+    import multiprocessing
+
+    methods = multiprocessing.get_all_start_methods()
+    if sys.platform == "darwin" or "fork" not in methods:
+        return None
+    return multiprocessing.get_context("fork")
+
 
 def _broken_pool_errors() -> tuple[type[BaseException], ...]:
     """Exception types meaning "the pool itself died" (import kept lazy)."""
@@ -91,8 +128,20 @@ def _broken_pool_errors() -> tuple[type[BaseException], ...]:
     return (BrokenProcessPool, BrokenPipeError)
 
 
-def _pool_task(packed: tuple) -> tuple:
-    """Run one task inside a worker; module-level so the pool can pickle it.
+def _install_map(
+    fn: Callable, payloads: list, op: int, plan: FaultPlan | None, observe: bool
+) -> None:
+    """Pool initializer: the map this worker serves.
+
+    Under ``fork`` the arguments are the parent's objects, inherited
+    copy-on-write when the worker starts; nothing here is pickled.
+    """
+    global _WORKER_MAP
+    _WORKER_MAP = (fn, payloads, op, plan, observe)
+
+
+def _pool_task(index: int, attempt: int) -> tuple:
+    """Run payload *index* of the installed map inside a worker.
 
     Applies any armed injected faults first (a crash must look exactly
     like an OS kill: the real task never starts).  When observability is
@@ -100,7 +149,8 @@ def _pool_task(packed: tuple) -> tuple:
     duration, and the spans, the metrics snapshot, and the wall-clock
     cost travel back with the result for the parent to absorb.
     """
-    fn, payload, op, index, attempt, plan, observe = packed
+    fn, payloads, op, plan, observe = _WORKER_MAP
+    payload = payloads[index]
     if plan is not None:
         marker = apply_task_faults(
             plan, op=op, index=index, attempt=attempt, in_worker=True
@@ -153,9 +203,10 @@ class ParallelMap:
     Parameters
     ----------
     workers:
-        ``1`` (default) runs tasks in-process; ``N > 1`` fans out over a
-        lazily created pool of ``N`` worker processes.  The pool is reused
-        across calls and shut down via :meth:`close`.
+        ``1`` (default) runs tasks in-process; ``N > 1`` fans out over
+        ``N`` worker processes, forked afresh for every :meth:`map` call
+        so they inherit its payloads.  Without a usable ``fork`` the map
+        falls back to serial at construction (see the module docstring).
     timeout_s:
         Stall watchdog: if no pooled task completes for this long, the
         pool is presumed hung, killed, and the unfinished tasks retried.
@@ -211,7 +262,6 @@ class ParallelMap:
         self.backoff_jitter = backoff_jitter
         self.seed = seed
         self.fault_plan = fault_plan
-        self._executor = None
         self._pool_broken = False
         self._fallback_reason: str | None = None
         self._fallback_warned = False
@@ -221,6 +271,11 @@ class ParallelMap:
         self.timeouts = 0
         self.quarantined = 0
         self.pool_restarts = 0
+        self._context = _fork_context() if workers > 1 else None
+        if workers > 1 and self._context is None:
+            self._record_fallback(
+                f"start method 'fork' unavailable or unsafe on {sys.platform}"
+            )
 
     # -- degradation reporting ---------------------------------------------
 
@@ -257,39 +312,8 @@ class ParallelMap:
 
     # -- lifecycle ---------------------------------------------------------
 
-    def _pool(self):
-        """The shared executor, or ``None`` when unavailable."""
-        if self.workers <= 1 or self._pool_broken:
-            return None
-        if self._executor is None:
-            try:
-                from concurrent.futures import ProcessPoolExecutor
-
-                self._executor = ProcessPoolExecutor(max_workers=self.workers)
-            except (OSError, ImportError, NotImplementedError) as exc:
-                # Hosts without working multiprocessing primitives (some
-                # sandboxes) fall back to the serial backend for good.
-                self._record_fallback(f"{type(exc).__name__}: {exc}")
-                return None
-        return self._executor
-
-    def _kill_pool(self) -> None:
-        """Tear the executor down without waiting on wedged workers."""
-        executor, self._executor = self._executor, None
-        if executor is None:
-            return
-        for process in list(getattr(executor, "_processes", {}).values()):
-            try:
-                process.kill()
-            except (OSError, ValueError, AttributeError):
-                continue  # already dead / no kill on this host: shutdown below
-        executor.shutdown(wait=False, cancel_futures=True)
-
     def close(self) -> None:
-        """Shut the worker pool down (no-op for the serial backend)."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=True, cancel_futures=True)
-            self._executor = None
+        """Release nothing: a pool never outlives its :meth:`map` call."""
 
     # -- retry pacing ------------------------------------------------------
 
@@ -307,12 +331,13 @@ class ParallelMap:
     def map(self, fn: Callable[[_T], _R], payloads: Sequence[_T]) -> list[_R]:
         """Apply *fn* to every payload; results in payload order.
 
-        With the process backend, *fn* must be a module-level function and
-        payloads/results must pickle.  Worker crashes, hangs, and task
-        failures are retried within the configured budgets (see the class
-        docstring); the serial backend applies the same retry policy to an
-        active :class:`~repro.engine.faults.FaultPlan` and is otherwise a
-        plain zero-overhead loop.
+        With the process backend, results must pickle; *fn* and the
+        payloads are inherited by workers forked for this call, and the
+        pool is gone when the call returns.  Worker crashes, hangs, and
+        task failures are retried within the configured budgets (see the
+        class docstring); the serial backend applies the same retry policy
+        to an active :class:`~repro.engine.faults.FaultPlan` and is
+        otherwise a plain zero-overhead loop.
         """
         payloads = list(payloads)
         if not payloads:
@@ -322,16 +347,18 @@ class ParallelMap:
         if self.workers <= 1 and self.fault_plan is None:
             return [fn(p) for p in payloads]
         run = _MapRun(self, fn, payloads, op)
-        observed_pool = _obs.enabled() and self._pool() is not None
         span = (
             _obs.span(
                 "pool/map", cat="pool", n_tasks=len(payloads), workers=self.workers
             )
-            if observed_pool
+            if _obs.enabled() and self.effective_workers > 1
             else nullcontext()
         )
         with span:
-            results = run.execute()
+            try:
+                results = run.execute()
+            finally:
+                run.kill_pool()
             run.flush_obs()
         return results
 
@@ -343,10 +370,11 @@ class _MapRun:
     the still-unresolved clean tasks as one pooled batch and every
     quarantined task alone (so a poison payload can only take itself
     down); failures are classified as *soft* (task raised / corrupt
-    result: retry in place) or *pool-killing* (crash / hang: kill the
-    pool, bisect the unresolved tasks to isolate the offender).  Accepted
-    results are final — a task never re-runs after success, so retries
-    cannot perturb the output.
+    result: retry on a fresh pool) or *pool-killing* (crash / hang: kill
+    the pool, bisect the unresolved tasks to isolate the offender).
+    Accepted results are final — a task never re-runs after success, so
+    retries cannot perturb the output.  The call's pool (:attr:`executor`)
+    is forked on first use and replaced after every kill.
     """
 
     def __init__(
@@ -364,6 +392,7 @@ class _MapRun:
         #: payload-order absorption after the map completes.
         self.shipped_obs: dict[int, tuple] = {}
         self.used_pool = False
+        self.executor = None
         #: Fresh-pool budget for this call; exhausting it degrades to
         #: serial for good rather than thrashing pool startup forever.
         self.restarts_left = 4 + 2 * pmap.max_retries
@@ -426,7 +455,7 @@ class _MapRun:
         if deadline_s is None:
             return
         if time.monotonic() - self.start_monotonic_s > deadline_s:  # reprolint: disable=DET001 -- watchdog/deadline bookkeeping; wall time gates retries, not results
-            self.pmap._kill_pool()
+            self.kill_pool()
             raise MapDeadlineError(
                 f"map deadline of {deadline_s:g}s exceeded with "
                 f"{n_pending} task(s) unfinished"
@@ -459,11 +488,57 @@ class _MapRun:
         self.results[index] = result
         self.shipped_obs[index] = (records, snapshot, wall_ms)
 
+    # -- the call's pool --------------------------------------------------
+
+    def pool(self):
+        """This call's executor, forked on demand; ``None`` means serial."""
+        pmap = self.pmap
+        if pmap.effective_workers <= 1:
+            return None
+        if self.executor is None:
+            try:
+                from concurrent.futures import ProcessPoolExecutor
+
+                self.executor = ProcessPoolExecutor(
+                    max_workers=min(pmap.workers, len(self.payloads)),
+                    mp_context=pmap._context,
+                    initializer=_install_map,
+                    initargs=(
+                        self.fn, self.payloads, self.op, pmap.fault_plan,
+                        _obs.enabled(),
+                    ),
+                )
+            except (OSError, ImportError, NotImplementedError) as exc:
+                # Hosts without working multiprocessing primitives (some
+                # sandboxes) fall back to the serial backend for good.
+                pmap._record_fallback(f"{type(exc).__name__}: {exc}")
+                return None
+        return self.executor
+
+    def kill_pool(self) -> None:
+        """Kill this call's workers, then reap them and the pool's manager
+        thread; never waits on a running task."""
+        executor, self.executor = self.executor, None
+        if executor is None:
+            return
+        workers = list((executor._processes or {}).values())
+        manager = executor._executor_manager_thread
+        for process in workers:
+            try:
+                process.kill()
+            except (OSError, ValueError):
+                continue  # already dead
+        executor.shutdown(wait=False, cancel_futures=True)
+        for process in workers:
+            process.join(_REAP_S)
+        if manager is not None:
+            manager.join(_REAP_S)
+
     # -- execution backends ------------------------------------------------
 
     def run_indices(self, indices: list[int]) -> list[int]:
         """Run tasks (pooled if possible); returns soft-failure indices."""
-        executor = self.pmap._pool()
+        executor = self.pool()
         if executor is None:
             return self.run_serial(indices)
         self.used_pool = True
@@ -503,22 +578,17 @@ class _MapRun:
         from concurrent.futures import FIRST_COMPLETED, wait
 
         pmap = self.pmap
-        plan = pmap.fault_plan
-        observe = _obs.enabled()
         broken_types = _broken_pool_errors()
         futures: dict = {}
         uncovered: list[int] = []
         broken = False
         for position, i in enumerate(indices):
-            packed = (
-                self.fn, self.payloads[i], self.op, i, self.attempts[i], plan,
-                observe,
-            )
             try:
-                future = executor.submit(_pool_task, packed)
+                future = executor.submit(_pool_task, i, self.attempts[i])
                 futures[future] = i
-            except (*broken_types, RuntimeError) as exc:
-                # The pool died (or was shut down) under us mid-submit.
+            except (*broken_types, RuntimeError, OSError) as exc:
+                # The pool died (or was shut down, or could not fork)
+                # under us mid-submit.
                 self.record_failure(i, exc)
                 broken = True
                 uncovered = indices[position:]
@@ -563,11 +633,15 @@ class _MapRun:
         if broken or stalled:
             self.restart_pool()
             soft += self.attribute_pool_kill(sorted(unresolved))
+        elif soft:
+            # A failed attempt may have mutated its worker's inherited
+            # payload copy; the retry forks from the parent's untouched one.
+            self.kill_pool()
         return soft
 
     def restart_pool(self) -> None:
         """Kill the (broken/hung) pool; give up on pooling when thrashing."""
-        self.pmap._kill_pool()
+        self.kill_pool()
         self.pmap.pool_restarts += 1
         self.restarts_left -= 1
         if self.restarts_left <= 0:

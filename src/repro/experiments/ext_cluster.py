@@ -13,9 +13,10 @@ generations).  Per (dataset, p), for CC and spmm:
   coordinate descent on a √n sample, identity extrapolation) and its
   slowdown vs the oracle;
 * the NaiveStatic cut vector (cumulative peak-FLOPS shares);
-* the executed timeline's device *imbalance* — max/mean − 1 over the
-  compute devices' busy times, the figure of merit load balancers report
-  — plus the speedup over the p = 2 pair.
+* the device *imbalance* of the tuned vector's simulated timeline —
+  max/mean − 1 over the compute devices' busy times, the figure of merit
+  load balancers report — plus the speedup over the p = 2 pair.  Only
+  the schedule is simulated; the partitioned kernels are not executed.
 
 The oracle and tune passes run through the engine's cached map; their
 cache keys embed :meth:`ClusterSpec.cache_fields`, so two clusters
@@ -124,8 +125,7 @@ def _study(
     base_ms: dict[str, float] = {}
     for problem, oracle, tuned in zip(problems, oracles, tunes):
         p = problem.n_cuts + 1
-        result = problem.run(list(tuned.thresholds))
-        bal = _device_imbalance(problem, result.timeline)
+        bal = _device_imbalance(problem, problem.timeline(list(tuned.thresholds)))
         slowdown = 100.0 * max(0.0, tuned.value_ms / oracle.value_ms - 1.0)
         static_ms = float(
             problem.evaluate_ms(list(problem.naive_static_thresholds()))

@@ -241,7 +241,8 @@ def run_study(config: ExperimentConfig, kind: str) -> list[BaselineComparison]:
     dataset, problem class), so a dataset's problem is built only when
     one of its units misses the cache, at most once per study, and a
     warm run builds none.  Problems are built here in the parent process
-    — workers receive pickled instances and never re-synthesize datasets.
+    — pooled workers inherit the built instances and never re-synthesize
+    datasets.
     """
     problem_class, problem_factory, partitioner_factory, subset = _STUDIES[kind]
     default_names = subset()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import pickle
 import subprocess
@@ -13,8 +14,9 @@ import pytest
 
 import repro
 from repro.core.oracle import exhaustive_oracle
-from repro.engine import Engine
+from repro.engine import Engine, FaultPlan, FaultSpec, shutdown_engines
 from repro.engine.parallel import ParallelMap, chunked
+from repro.experiments import cli
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import cc_problem, spmm_problem
 from repro.util.errors import ValidationError
@@ -25,6 +27,34 @@ TINY = ExperimentConfig(scale=1 / 256)
 
 def _square(x: int) -> int:
     return x * x
+
+
+class _Unpicklable:
+    """A payload that refuses to pickle: pooled maps must never try."""
+
+    def __init__(self, value: int) -> None:
+        self.value = value
+
+    def __reduce__(self):
+        raise TypeError("payloads travel by fork inheritance, never by pickle")
+
+
+def _unwrap_square(payload: _Unpicklable) -> int:
+    return payload.value * payload.value
+
+
+def _unwrap_negate(payload: _Unpicklable) -> int:
+    return -payload.value
+
+
+def _draw_then_fail_once(payload) -> float:
+    """Consume the payload's generator; the first attempt then raises."""
+    rng, marker = payload
+    value = float(rng.random())
+    if not os.path.exists(marker):
+        Path(marker).touch()
+        raise RuntimeError("first attempt fails after touching its payload")
+    return value
 
 
 def _col_sums(payload):
@@ -160,6 +190,94 @@ class TestParallelMap:
         # Per element: the serial list shares one dtype instance that a
         # whole-list pickle would memoize, pooled results do not.
         assert [pickle.dumps(r) for r in pooled] == [pickle.dumps(r) for r in serial]
+
+
+class TestInheritedPayloads:
+    """Pooled maps fork per call: payloads are inherited, tasks ship indices."""
+
+    def test_unpicklable_payloads_match_serial(self):
+        payloads = [_Unpicklable(i) for i in range(8)]
+        pmap = ParallelMap(2)
+        assert pmap.map(_unwrap_square, payloads) == [
+            _unwrap_square(p) for p in payloads
+        ]
+        assert not pmap.degraded
+
+    def test_unpicklable_payloads_survive_bisection_restart(self):
+        plan = FaultPlan(specs=(FaultSpec(kind="crash", index=2),))
+        pmap = ParallelMap(
+            2, fault_plan=plan, max_retries=3, timeout_s=60, backoff_base_s=0.01
+        )
+        payloads = [_Unpicklable(i) for i in range(6)]
+        assert pmap.map(_unwrap_square, payloads) == [i * i for i in range(6)]
+        assert pmap.pool_restarts >= 1
+        assert pmap.quarantined >= 1
+        assert not pmap.degraded
+        assert multiprocessing.active_children() == []
+
+    def test_back_to_back_maps_see_their_own_payloads(self):
+        pmap = ParallelMap(2)
+        first = pmap.map(_unwrap_square, [_Unpicklable(i) for i in range(6)])
+        second = pmap.map(_unwrap_negate, [_Unpicklable(i) for i in (10, 11, 12)])
+        third = pmap.map(_square, [7, 8])
+        assert first == [i * i for i in range(6)]
+        assert second == [-10, -11, -12]
+        assert third == [49, 64]
+
+    def test_retry_after_a_raise_sees_the_untouched_payload(self, tmp_path):
+        # One payload, so one worker: a retry on that worker would draw
+        # from the generator the failed attempt already advanced.
+        marker = str(tmp_path / "failed-once")
+        expected = float(np.random.default_rng(5).random())
+        pmap = ParallelMap(2, max_retries=1, backoff_base_s=0.0)
+        payload = (np.random.default_rng(5), marker)
+        assert pmap.map(_draw_then_fail_once, [payload]) == [expected]
+        assert pmap.retries == 1
+
+    def test_no_worker_outlives_the_map(self):
+        pmap = ParallelMap(2)
+        assert pmap.map(_square, list(range(10))) == [x * x for x in range(10)]
+        assert multiprocessing.active_children() == []
+
+
+class TestNoForkFallback:
+    """Without a usable ``fork`` a pooled map is serial from construction."""
+
+    @pytest.fixture
+    def no_fork(self, monkeypatch):
+        monkeypatch.setattr(
+            multiprocessing, "get_all_start_methods", lambda: ["spawn", "forkserver"]
+        )
+
+    def test_degraded_before_the_first_map(self, no_fork):
+        with pytest.warns(RuntimeWarning) as caught:
+            pmap = ParallelMap(2)
+            assert pmap.effective_workers == 1
+            assert pmap.degraded
+            assert "'fork'" in pmap.fallback_reason
+            assert pmap.map(_square, [3, 1, 2]) == [9, 1, 4]
+            assert pmap.map(_square, [4]) == [16]
+        assert len(caught) == 1
+        assert caught[0].category is RuntimeWarning
+        assert multiprocessing.active_children() == []
+
+    def test_cli_prints_degraded_line(self, no_fork, capsys):
+        shutdown_engines()  # no memoized workers=2 engine built with fork
+        try:
+            with pytest.warns(RuntimeWarning, match="fork"):
+                code = cli.main(
+                    [
+                        "--no-cache", "--workers", "2", "--scale", "0.00390625",
+                        "--datasets", "cant", "fig3",
+                    ]
+                )
+        finally:
+            shutdown_engines()
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "[engine summary: workers=2 (effective 1);" in captured.out
+        assert "[engine DEGRADED: requested workers=2" in captured.err
+        assert "'fork'" in captured.err
 
 
 class TestPooledCliRun:

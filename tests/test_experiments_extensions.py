@@ -13,6 +13,8 @@ from repro.experiments import (
     ext_dynamic,
     ext_multiway,
 )
+from repro.hetero.multiway_cc import MultiwayCcProblem
+from repro.hetero.multiway_spmm import MultiwaySpmmProblem
 
 SMALL = ExperimentConfig(scale=1 / 64, seed=5)
 
@@ -73,6 +75,18 @@ class TestExtCluster:
         for p in (2, 3, 4, 8):
             assert m[f"cluster-cc_germany_osm_p{p}_imbalance"] >= 0.0
             assert m[f"cluster-spmm_cant_p{p}_imbalance"] >= 0.0
+
+    def test_reads_timelines_without_executing_kernels(self, monkeypatch):
+        # The report reads only the tuned vector's timeline, so the
+        # partitioned SpGEMM and the SV labelling must never run.
+        def refuse(self, thresholds):
+            raise AssertionError(f"{type(self).__name__}.run executed")
+
+        monkeypatch.setattr(MultiwayCcProblem, "run", refuse)
+        monkeypatch.setattr(MultiwaySpmmProblem, "run", refuse)
+        report = ext_cluster.run(ExperimentConfig(scale=0.02))
+        assert len(report.tables) == 2
+        assert all(len(table.rows) == 8 for table in report.tables)
 
 
 @pytest.fixture(scope="module")

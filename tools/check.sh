@@ -5,7 +5,8 @@
 # parallel-safety / unit rules over the project graph), the analyzer's
 # own test suites, the API surface snapshot (docs/API.md vs the live
 # surface), the engine test suite, the chaos suite, a cross-process warm
-# replay of table1, the cluster experiments, the dynamic re-balancing
+# replay of table1, a cross-process serial-vs-pooled replay of fig4, fig9
+# and table1, the cluster experiments, the dynamic re-balancing
 # experiments, then the full tier-1 test suite.
 # Run from the repository root:
 #
@@ -63,6 +64,17 @@ done
 grep -q "engine summary: .* 0 miss(es)" "$warm_tmp/run2.txt"
 diff <(grep -v -e "regenerated in" -e "engine summary" "$warm_tmp/run1.txt") \
      <(grep -v -e "regenerated in" -e "engine summary" "$warm_tmp/run2.txt")
+
+echo
+echo "== pooled replay (cross-process) =="
+for workers in 1 2; do
+    python -m repro.experiments --no-cache --scale 0.015625 \
+        --workers "$workers" fig4 fig9 table1 \
+        > "$warm_tmp/pooled$workers.txt" 2> "$warm_tmp/pooled$workers.err"
+done
+test ! -s "$warm_tmp/pooled2.err"
+diff <(grep -v -e "regenerated in" -e "engine summary" "$warm_tmp/pooled1.txt") \
+     <(grep -v -e "regenerated in" -e "engine summary" "$warm_tmp/pooled2.txt")
 
 echo
 echo "== cluster experiments (docs/CLUSTER.md) =="
