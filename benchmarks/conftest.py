@@ -8,8 +8,8 @@ rounds via the config's dataset cache, so rounds after the first measure
 the experiment pipeline itself).
 
 Process-pool safety: the session fixtures *materialize* their datasets
-eagerly, in this (parent) process.  The engine pickles fully built
-problem/dataset objects into its workers — workers never call
+eagerly, in this (parent) process.  A pooled map forks its workers after
+the problems are built, and the workers inherit them — workers never call
 ``load_dataset`` — so ``REPRO_BENCH_WORKERS > 1`` cannot make each worker
 re-synthesize the suite, and benchmark rounds keep hitting the parent's
 dataset cache exactly as in serial runs.

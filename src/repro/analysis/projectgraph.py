@@ -267,13 +267,14 @@ class ProjectGraph:
     def worker_roots(self) -> dict[str, str]:
         """Functions shipped to pools: id -> the registration that did it.
 
-        ``cached_map(..., parallel=False)`` registrations are excluded —
-        the engine runs those serially in-process by contract.
+        Every ``.map`` / ``.submit`` / ``.cached_map`` registration of a
+        named function counts: the engine sends every unit of a cached map
+        through its worker pool.
         """
         roots: dict[str, str] = {}
         for fid, (summary, info) in self.functions.items():
             for reg in info.task_regs:
-                if reg["parallel_false"] or reg["is_lambda"] or not reg["fn"]:
+                if reg["is_lambda"] or not reg["fn"]:
                     continue
                 for target, _ in self.resolve(summary, info.qualname, reg["fn"]):
                     roots.setdefault(

@@ -51,9 +51,8 @@ Rules
     or by subscripting either.  Price the whole grid in one pass with
     :func:`repro.core.problem.evaluate_grid` (which dispatches to a
     problem's vectorized ``evaluate_many`` — see docs/PERFORMANCE.md);
-    the two sanctioned scalar loops (the ``evaluate_grid`` fallback
-    itself and the oracle pool worker's chunk loop) carry line
-    suppressions.
+    the two sanctioned scalar loops (``evaluate_grid``'s own fallbacks
+    for scalar thresholds and cut-vector rows) carry line suppressions.
 ``PERF002``
     No scalar ``Timeline`` recording (``tl.run(...)`` / ``tl.overlap(...)``
     / ``tl.record(...)``) inside a loop (or comprehension) in

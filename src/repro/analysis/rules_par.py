@@ -18,9 +18,8 @@ source patterns silently break it:
     A lambda or local closure shipped to the pool (``.map`` /
     ``.submit`` / ``.cached_map``).  Lambdas don't pickle under the
     default start method, and closures capture ambient state whose
-    worker-side copy diverges from the parent.  Registrations that
-    explicitly opt out of the pool (``cached_map(...,
-    parallel=False)``) are exempt: the engine runs those in-process.
+    worker-side copy diverges from the parent.  Every ``cached_map``
+    registration counts: the engine sends each unit through its pool.
 
 PAR001 is the interprocedural case per-file lint cannot catch: the
 mutation lives in a helper module that never mentions a pool.
@@ -61,8 +60,6 @@ def check_par(graph: ProjectGraph) -> list[Finding]:
             )
     for fid, (summary, info) in sorted(graph.functions.items()):
         for reg in info.task_regs:
-            if reg["parallel_false"]:
-                continue
             if reg["is_lambda"]:
                 findings.append(
                     Finding(
@@ -71,7 +68,7 @@ def check_par(graph: ProjectGraph) -> list[Finding]:
                             f"lambda passed to .{reg['api']}() in "
                             f"{short_id(fid)}; lambdas don't pickle and "
                             "capture ambient state — pass a module-level "
-                            "function (or opt out with parallel=False)"
+                            "function"
                         ),
                         path=summary.path,
                         line=reg["line"],

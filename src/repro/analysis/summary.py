@@ -970,19 +970,12 @@ class _Walker(ast.NodeVisitor):
 
     def _record_task(self, node: ast.Call, func: ast.Attribute, fn: FunctionInfo) -> None:
         target = node.args[0]
-        parallel_false = any(
-            kw.arg == "parallel"
-            and isinstance(kw.value, ast.Constant)
-            and kw.value.value is False
-            for kw in node.keywords
-        )
         fn.task_regs.append(
             {
                 "api": func.attr,
                 "receiver": _dotted(func.value),
                 "fn": _dotted(target),
                 "is_lambda": isinstance(target, ast.Lambda),
-                "parallel_false": parallel_false,
                 "line": node.lineno,
                 "col": node.col_offset,
             }

@@ -13,8 +13,7 @@ module supplies the vector analogs of the scalar tuner stack:
 * :func:`cluster_oracle` — the exhaustive analog: enumerate every
   non-decreasing integer cut vector when that is tractable, multi-start
   coordinate descent when the lattice is too large (the count grows as
-  ``C(101 + p - 2, p - 1)``), optionally fanning chunks over a
-  :class:`repro.engine.parallel.ParallelMap`;
+  ``C(101 + p - 2, p - 1)``);
 * :func:`tune_cluster` — the full sample → identify → extrapolate
   pipeline: search the *sampled* problem, map the winning vector onto the
   full input unchanged (the identity extrapolation both percent-axis
@@ -312,16 +311,8 @@ def _count_lattice(n_points: int, n_cuts: int) -> int:
     return math.comb(n_points + n_cuts - 1, n_cuts)
 
 
-def _evaluate_vector_chunk(args) -> list[float]:
-    """One worker's share of an exhaustive vector sweep."""
-    problem, rows = args
-    return [float(v) for v in evaluate_grid(problem, np.asarray(rows))]
-
-
 def cluster_oracle(
-    problem,
-    parallel_map=None,
-    max_candidates: int = DEFAULT_MAX_CANDIDATES,
+    problem, max_candidates: int = DEFAULT_MAX_CANDIDATES
 ) -> CutVectorResult:
     """Best cut vector on the full input; exact when tractable.
 
@@ -334,9 +325,9 @@ def cluster_oracle(
     degrades to multi-start coordinate descent seeded from NaiveStatic,
     equal shares, and the all-accelerators corner, keeping the best.
 
-    Scalar-only problems with a *parallel_map* of more than one worker fan
-    lattice chunks out over the pool — bit-identical to the serial sweep,
-    mirroring :func:`repro.core.oracle.exhaustive_oracle`.
+    Like :func:`repro.core.oracle.exhaustive_oracle`, one call is one unit
+    of work: a study fans out across whole oracles, one per
+    (dataset, cluster).
     """
     n_cuts = n_cuts_of(problem)
     with _obs.span(f"oracle/{problem.name}", cat="core") as sp:
@@ -368,28 +359,7 @@ def cluster_oracle(
                 strategy="multi-start-descent",
             )
         else:
-            from repro.core.problem import has_batch_pricing
-
-            use_pool = (
-                not has_batch_pricing(problem)
-                and parallel_map is not None
-                and parallel_map.workers > 1
-            )
-            if use_pool:
-                from repro.engine.parallel import chunked
-
-                rows = [list(map(float, row)) for row in lattice]
-                chunks = [
-                    c for c in chunked(rows, parallel_map.workers * 4) if c
-                ]
-                vals_lists = parallel_map.map(
-                    _evaluate_vector_chunk, [(problem, c) for c in chunks]
-                )
-                vals = np.asarray(
-                    [v for chunk in vals_lists for v in chunk], dtype=np.float64
-                )
-            else:
-                vals = evaluate_grid(problem, lattice)
+            vals = evaluate_grid(problem, lattice)
             if vals.size == 0:
                 raise SearchError("empty cut-vector lattice")
             j = int(np.argmin(vals))

@@ -6,27 +6,20 @@ threshold grid on the *full* input.  The oracle also reports what that sweep
 would have cost on the simulated clock, which is the number that makes the
 paper's case: the sweep costs two orders of magnitude more than one run.
 
-The sweep is embarrassingly parallel across grid points, so
-:func:`exhaustive_oracle` optionally fans the per-threshold evaluations out
-over a :class:`repro.engine.parallel.ParallelMap`.  The parallel path
-reassembles the evaluation log in grid order and applies the same
-first-strict-minimum tie-breaking and left-fold cost sum as the serial
-sweep, so both paths return bit-identical results.  Problems that publish
-batched pricing tables (``evaluate_many`` — see docs/PERFORMANCE.md) skip
-the pool entirely: the serial sweep already prices the whole grid in one
-vectorized call, which is faster than any fan-out.
+One oracle is one unit of work: the sweep prices its grid through
+:func:`repro.core.problem.evaluate_grid` — one vectorized call for problems
+with batch pricing (``evaluate_many``, see docs/PERFORMANCE.md), a scalar
+loop otherwise — and a study fans out across whole oracles
+(:meth:`repro.engine.Engine.cached_map`), never across one oracle's grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.core.problem import PartitionProblem, has_batch_pricing
+from repro.core.problem import PartitionProblem
 from repro.core.search import ExhaustiveSearch, SearchResult
 from repro.obs import runtime as _obs
-from repro.util.errors import SearchError
 
 
 @dataclass(frozen=True)
@@ -71,78 +64,24 @@ class OracleResult:
         )
 
 
-def _evaluate_thresholds(args: tuple[PartitionProblem, list[float]]) -> list[tuple[float, float]]:
-    """One worker's share of the sweep: probe a contiguous grid chunk."""
-    problem, thresholds = args
-    return [(t, problem.evaluate_ms(t)) for t in thresholds]  # reprolint: disable=PERF001 -- the pool worker's scalar chunk loop
-
-
-def exhaustive_oracle(
-    problem: PartitionProblem, parallel_map=None
-) -> OracleResult:
+def exhaustive_oracle(problem: PartitionProblem) -> OracleResult:
     """Sweep the full grid on the full input; exact but impractical.
 
-    Problems with batch pricing (``evaluate_many``; see
-    ``docs/PERFORMANCE.md``) take the vectorized serial sweep regardless of
-    *parallel_map*: one array call beats fanning scalar probes out over a
-    process pool, and picking the path by capability — before looking at
-    the worker count — keeps serial and pooled configurations on the same
-    arithmetic.  Scalar-only problems with a *parallel_map*
-    (``repro.engine.parallel.ParallelMap``) of more than one worker fan the
-    per-threshold evaluations out over contiguous grid chunks; that path is
-    bit-identical to the serial sweep.  The ``oracle/<problem>`` obs span
-    and ``oracle.evaluations`` counter are recorded here — once, for any
-    path — so all configurations produce identical aggregates.
+    :class:`~repro.core.search.ExhaustiveSearch` does the sweep (first
+    strict minimum in grid order, cost as the left-fold sum of every
+    probe); the ``oracle/<problem>`` obs span and the
+    ``oracle.evaluations`` counter are recorded here.
     """
     with _obs.span(f"oracle/{problem.name}", cat="core") as sp:
-        use_pool = (
-            not has_batch_pricing(problem)
-            and parallel_map is not None
-            and parallel_map.workers > 1
+        result: SearchResult = ExhaustiveSearch().minimize(problem)
+        oracle = OracleResult(
+            threshold=result.threshold,
+            best_time_ms=result.value_ms,
+            search_cost_ms=result.cost_ms,
+            n_evaluations=result.n_evaluations,
+            evaluations=result.evaluations,
         )
-        if use_pool:
-            oracle = _parallel_oracle(problem, parallel_map)
-        else:
-            result: SearchResult = ExhaustiveSearch().minimize(problem)
-            oracle = OracleResult(
-                threshold=result.threshold,
-                best_time_ms=result.value_ms,
-                search_cost_ms=result.cost_ms,
-                n_evaluations=result.n_evaluations,
-                evaluations=result.evaluations,
-            )
         sp.add_sim_ms(oracle.search_cost_ms)
         sp.set(threshold=oracle.threshold, n_evaluations=oracle.n_evaluations)
     _obs.counter("oracle.evaluations").inc(oracle.n_evaluations)
     return oracle
-
-
-def _parallel_oracle(problem: PartitionProblem, parallel_map) -> OracleResult:
-    """The fan-out sweep: chunk the grid, probe chunks in workers, merge."""
-    from repro.engine.parallel import chunked
-
-    grid = np.asarray(problem.threshold_grid(), dtype=np.float64)
-    if grid.size == 0:
-        raise SearchError("empty threshold grid")
-    thresholds = [float(t) for t in grid]
-    # A few chunks per worker amortizes per-task pickling of the problem
-    # while keeping the pool busy even when chunk costs are uneven.  Grids
-    # smaller than the chunk count produce empty tails; dropping them saves
-    # the pool round trips that would return nothing.
-    chunks = [c for c in chunked(thresholds, parallel_map.workers * 4) if c]
-    logs = parallel_map.map(_evaluate_thresholds, [(problem, c) for c in chunks])
-    log = [pair for chunk_log in logs for pair in chunk_log]
-    # Identical reduction to ExhaustiveSearch.minimize: first strict
-    # minimum in grid order, cost as the left-fold sum in grid order.
-    best_t = thresholds[0]
-    best_ms = float("inf")
-    for t, ms in log:
-        if ms < best_ms:
-            best_t, best_ms = t, ms
-    return OracleResult(
-        threshold=best_t,
-        best_time_ms=best_ms,
-        search_cost_ms=float(sum(ms for _, ms in log)),
-        n_evaluations=len(log),
-        evaluations=tuple(log),
-    )

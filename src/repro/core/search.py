@@ -101,9 +101,9 @@ def _traced(minimize_fn):
     The span charges the result's full simulated probe cost via
     ``add_sim_ms`` and bumps the ``search.evaluations`` counter.  Applied
     to the identify strategies only: :class:`ExhaustiveSearch` stays bare
-    because the oracle wraps *both* its serial and parallel sweeps itself
-    (see :func:`repro.core.oracle.exhaustive_oracle`), and double-counting
-    the serial path would skew the aggregates.
+    because the oracle records its own ``oracle/<problem>`` span around
+    it (see :func:`repro.core.oracle.exhaustive_oracle`), and counting the
+    sweep twice would skew the aggregates.
     """
 
     @functools.wraps(minimize_fn)

@@ -45,7 +45,7 @@ from repro.engine.faults import (
     arm_synth_faults,
 )
 from repro.engine.locks import ShardLock
-from repro.engine.parallel import ParallelMap, chunked
+from repro.engine.parallel import ParallelMap
 from repro.engine.sharded import ShardedResultCache
 
 __all__ = [
@@ -65,7 +65,6 @@ __all__ = [
     "ShardedResultCache",
     "aggregate_stats",
     "arm_synth_faults",
-    "chunked",
     "code_version_salt",
     "fingerprint",
     "get_engine",

@@ -40,10 +40,7 @@ class EngineStats:
     ``computed_evaluations`` counts *problem evaluations* (threshold
     probes) performed for cache misses, as reported by the caller's
     ``count`` hook — the number the determinism suite pins to zero for a
-    warm-cache run.  ``batched_evaluations`` is the subset of those probes
-    that went through a vectorized ``evaluate_many`` sweep instead of
-    scalar ``evaluate_ms`` calls (the caller's ``count_batched`` hook);
-    the benchmark report uses the ratio to show batch-pricing coverage.
+    warm-cache run.
 
     The fault-tolerance block mirrors the engine's
     :class:`~repro.engine.parallel.ParallelMap` and
@@ -60,7 +57,6 @@ class EngineStats:
     misses: int = 0
     stores: int = 0
     computed_evaluations: int = 0
-    batched_evaluations: int = 0
     retries: int = 0
     timeouts: int = 0
     quarantined: int = 0
@@ -74,7 +70,6 @@ class EngineStats:
             "misses": self.misses,
             "stores": self.stores,
             "computed_evaluations": self.computed_evaluations,
-            "batched_evaluations": self.batched_evaluations,
             "retries": self.retries,
             "timeouts": self.timeouts,
             "quarantined": self.quarantined,
@@ -156,20 +151,21 @@ class Engine:
         encode: Callable[[_R], dict] | None = None,
         decode: Callable[[dict], _R] | None = None,
         count: Callable[[_R], int] | None = None,
-        count_batched: Callable[[_T, _R], int] | None = None,
-        parallel: bool = True,
         prepare: Callable[[_T], object] | None = None,
     ) -> list[_R]:
         """``[fn(p) for p in payloads]`` with caching and fan-out.
 
+        Every miss goes through :meth:`ParallelMap.map
+        <repro.engine.parallel.ParallelMap.map>`: in-process at
+        ``workers=1``, one pooled task per unit otherwise.
+
         Parameters
         ----------
         fn:
-            Unit of work.  With ``parallel=True`` it must be module-level
-            and payloads/results picklable (it crosses a process
-            boundary); with ``parallel=False`` it runs in-process — the
-            mode for callers whose *fn* itself fans out (the exhaustive
-            oracle's per-threshold sweep).
+            Unit of work, one call per missing unit.  Pooled workers
+            inherit *fn* and the prepared payloads, so neither pickles;
+            results cross the process boundary and must pickle.  Lint
+            rule PAR002 asks for a module-level function.
         key_fields:
             Per-payload cache-key field mappings, aligned with
             *payloads*; ``None`` (or a ``None`` element) disables caching
@@ -180,19 +176,11 @@ class Engine:
         count:
             Maps a *freshly computed* result to its problem-evaluation
             count for :attr:`EngineStats.computed_evaluations`.
-        count_batched:
-            Maps a freshly computed ``(payload, result)`` pair to how many
-            of its evaluations were priced through a vectorized
-            ``evaluate_many`` sweep, for
-            :attr:`EngineStats.batched_evaluations`.  The payload is
-            passed so the hook can inspect the problem's capability.
         prepare:
             Builds the payload *fn* receives from a *payloads* entry, in
             this process, and only for units whose key missed — so cache
             hits never pay for it (a study's problem construction).
-            ``None`` hands the entries to *fn* as they are.  Prepared
-            payloads are what *count_batched* sees and, with
-            ``parallel=True``, what crosses the process boundary.
+            ``None`` hands the entries to *fn* as they are.
         """
         payloads = list(payloads)
         keys: list[dict | None] = (
@@ -222,18 +210,10 @@ class Engine:
                 payloads[i] if prepare is None else prepare(payloads[i])
                 for i in missing
             ]
-            if parallel:
-                computed = self.parallel_map.map(fn, work)
-            else:
-                computed = [fn(payload) for payload in work]
-            for i, payload, result in zip(missing, work, computed):
+            for i, result in zip(missing, self.parallel_map.map(fn, work)):
                 results[i] = result
                 if count is not None:
                     self.stats.computed_evaluations += int(count(result))
-                if count_batched is not None:
-                    self.stats.batched_evaluations += int(
-                        count_batched(payload, result)
-                    )
                 if self.cache is not None and keys[i] is not None:
                     record = encode(result) if encode is not None else result
                     self.cache.put(keys[i], record)
@@ -298,7 +278,6 @@ def aggregate_stats() -> dict:
         total.misses += stats.misses
         total.stores += stats.stores
         total.computed_evaluations += stats.computed_evaluations
-        total.batched_evaluations += stats.batched_evaluations
         total.retries += stats.retries
         total.timeouts += stats.timeouts
         total.quarantined += stats.quarantined

@@ -3,9 +3,11 @@
 :class:`ParallelMap` is the engine's single parallelism primitive: an
 order-preserving ``map`` with two backends — in-process serial execution
 (``workers <= 1``) and a pool of forked worker processes
-(``workers > 1``).  Everything above it (the exhaustive oracle's
-per-threshold sweep, the per-dataset study loop, the sensitivity grids) is
-embarrassingly parallel, so one primitive suffices.
+(``workers > 1``).  Within the program its only caller is
+:meth:`repro.engine.Engine.cached_map`, and every unit that reaches it —
+a dataset's oracle or estimate, one (sample size, draw) of a sensitivity
+grid, a cluster's oracle or tune — is independent of the others, so one
+primitive suffices.
 
 Transport
 ---------
@@ -171,30 +173,6 @@ def _pool_task(index: int, attempt: int) -> tuple:
         result = fn(payload)
     wall_ms = (time.perf_counter() - start_s) * 1e3  # reprolint: disable=DET001 -- wall-clock obs span; wall_ms is telemetry, never merged into results
     return result, records, snapshot, wall_ms
-
-
-def chunked(items: Sequence[_T], n_chunks: int) -> list[list[_T]]:
-    """Split *items* into at most *n_chunks* contiguous, order-preserving
-    chunks of near-equal length (no empty chunks).
-
-    Contiguity matters: callers that re-concatenate chunk results recover
-    the original order, so order-sensitive reductions (first-minimum
-    tie-breaking, left-fold float sums) match the serial code exactly.
-    """
-    if n_chunks < 1:
-        raise ValidationError(f"n_chunks must be >= 1, got {n_chunks}")
-    items = list(items)
-    n_chunks = min(n_chunks, len(items))
-    if n_chunks == 0:
-        return []
-    size, rem = divmod(len(items), n_chunks)
-    chunks: list[list[_T]] = []
-    start = 0
-    for i in range(n_chunks):
-        stop = start + size + (1 if i < rem else 0)
-        chunks.append(items[start:stop])
-        start = stop
-    return chunks
 
 
 class ParallelMap:
@@ -396,7 +374,7 @@ class _MapRun:
         #: Fresh-pool budget for this call; exhausting it degrades to
         #: serial for good rather than thrashing pool startup forever.
         self.restarts_left = 4 + 2 * pmap.max_retries
-        self.start_monotonic_s = time.monotonic()  # reprolint: disable=DET001 -- watchdog/deadline bookkeeping; wall time gates retries, not results
+        self.start_monotonic_s = time.monotonic()
 
     # -- round loop --------------------------------------------------------
 
@@ -454,7 +432,7 @@ class _MapRun:
         deadline_s = self.pmap.deadline_s
         if deadline_s is None:
             return
-        if time.monotonic() - self.start_monotonic_s > deadline_s:  # reprolint: disable=DET001 -- watchdog/deadline bookkeeping; wall time gates retries, not results
+        if time.monotonic() - self.start_monotonic_s > deadline_s:
             self.kill_pool()
             raise MapDeadlineError(
                 f"map deadline of {deadline_s:g}s exceeded with "
@@ -467,7 +445,7 @@ class _MapRun:
         if self.pmap.timeout_s is not None:
             candidates.append(self.pmap.timeout_s)
         if self.pmap.deadline_s is not None:
-            elapsed_s = time.monotonic() - self.start_monotonic_s  # reprolint: disable=DET001 -- watchdog/deadline bookkeeping; wall time gates retries, not results
+            elapsed_s = time.monotonic() - self.start_monotonic_s
             candidates.append(self.pmap.deadline_s - elapsed_s)
         if not candidates:
             return None

@@ -18,9 +18,10 @@ generations).  Per (dataset, p), for CC and spmm:
   load balancers report — plus the speedup over the p = 2 pair.  Only
   the schedule is simulated; the partitioned kernels are not executed.
 
-The oracle and tune passes run through the engine's cached map; their
-cache keys embed :meth:`ClusterSpec.cache_fields`, so two clusters
-differing only in device count or interconnect can never share a record.
+The oracle and tune passes run through the engine's cached map and fan
+out across their (dataset, p) units; their cache keys embed
+:meth:`ClusterSpec.cache_fields`, so two clusters differing only in
+device count or interconnect can never share a record.
 """
 
 from __future__ import annotations
@@ -84,6 +85,12 @@ def _device_imbalance(problem, timeline) -> float:
     return imbalance(busy)
 
 
+def _tune_task(args: tuple) -> ClusterTuneResult:
+    """One sampled tune: a (problem, seed) unit of the tune pass."""
+    problem, seed = args
+    return tune_cluster(problem, rng=seed)
+
+
 def _study(
     config: ExperimentConfig,
     names: list[str],
@@ -98,27 +105,23 @@ def _study(
         for p in P_VALUES
     ]
     oracles: list[CutVectorResult] = engine.cached_map(
-        lambda problem: cluster_oracle(
-            problem, parallel_map=engine.parallel_map
-        ),
+        cluster_oracle,
         problems,
         key_fields=[_oracle_key(config, p) for p in problems],
         encode=CutVectorResult.to_record,
         decode=CutVectorResult.from_record,
         count=lambda o: o.n_evaluations,
-        parallel=False,
     )
     tunes: list[ClusterTuneResult] = engine.cached_map(
-        lambda problem: tune_cluster(
-            problem,
-            rng=stable_seed(config.seed, rng_tag, problem.name, problem.n_cuts),
-        ),
-        problems,
+        _tune_task,
+        [
+            (p, stable_seed(config.seed, rng_tag, p.name, p.n_cuts))
+            for p in problems
+        ],
         key_fields=[_tune_key(config, p) for p in problems],
         encode=ClusterTuneResult.to_record,
         decode=ClusterTuneResult.from_record,
         count=lambda t: t.n_evaluations,
-        parallel=False,
     )
     rows: list[tuple] = []
     metrics: dict[str, float] = {}

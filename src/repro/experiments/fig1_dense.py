@@ -27,15 +27,12 @@ DEFAULT_SIZES = [1024, 2048, 4096, 6144, 8192]
 def run(config: ExperimentConfig | None = None) -> ExperimentReport:
     config = config or ExperimentConfig()
     machine = config.machine()
-    engine = config.engine()
     rows_t = []
     rows_ms = []
     static_gaps = []
     for n in DEFAULT_SIZES:
         problem = DenseMmProblem(n, machine)
-        # The oracle sweep fans its per-threshold probes over the engine's
-        # workers (bit-identical to the serial sweep).
-        oracle = exhaustive_oracle(problem, parallel_map=engine.parallel_map)
+        oracle = exhaustive_oracle(problem)
         static_t = problem.naive_static_threshold()
         partitioner = SamplingPartitioner(
             CoarseToFineSearch(),

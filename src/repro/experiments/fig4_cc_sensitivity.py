@@ -11,12 +11,10 @@ from __future__ import annotations
 
 import math
 
-from repro.core.framework import SamplingPartitioner
 from repro.core.search import CoarseToFineSearch
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.report import ExperimentReport, ReportTable
 from repro.experiments.runner import cc_problem, sensitivity_sweep
-from repro.util.rng import stable_seed
 from repro.util.stats import near_concave_violations
 
 #: The paper plots two graphs; we use the largest mesh and a road network.
@@ -37,20 +35,8 @@ def run(config: ExperimentConfig | None = None) -> ExperimentReport:
         root = math.isqrt(problem.graph.n)
         sizes = [max(2, int(round(f * root))) for f in SIZE_FACTORS]
 
-        def partitioner_for(size: int, draw: int) -> SamplingPartitioner:
-            return SamplingPartitioner(
-                CoarseToFineSearch(),
-                sample_size=size,
-                rng=stable_seed(config.seed, "fig4", name, size, draw),
-            )
-
         rows = sensitivity_sweep(
-            problem,
-            partitioner_for,
-            sizes,
-            validate_traces=config.validate_traces,
-            engine=config.engine(),
-            cache_fields={"study": "fig4", "scale": config.scale, "seed": config.seed},
+            config, "fig4", problem, CoarseToFineSearch, sizes
         )
         table_rows = tuple(
             (

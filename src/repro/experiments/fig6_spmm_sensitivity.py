@@ -7,12 +7,10 @@ concave curve and a good operating point around n/4, justifying K=4.
 
 from __future__ import annotations
 
-from repro.core.framework import SamplingPartitioner
 from repro.core.search import RaceCoarseSearch
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.report import ExperimentReport, ReportTable
 from repro.experiments.runner import sensitivity_sweep, spmm_problem
-from repro.util.rng import stable_seed
 from repro.util.stats import near_concave_violations
 
 #: Two matrices, as in the paper's figure.
@@ -33,21 +31,8 @@ def run(config: ExperimentConfig | None = None) -> ExperimentReport:
         n = problem.a.n_rows
         sizes = [max(2, int(round(f * n))) for f in SIZE_FRACTIONS]
 
-        def partitioner_for(size: int, draw: int) -> SamplingPartitioner:
-            return SamplingPartitioner(
-                RaceCoarseSearch(),
-                sample_size=size,
-                rng=stable_seed(config.seed, "fig6", name, size, draw),
-            )
-
         rows = sensitivity_sweep(
-            problem,
-            partitioner_for,
-            sizes,
-            draws=3,
-            validate_traces=config.validate_traces,
-            engine=config.engine(),
-            cache_fields={"study": "fig6", "scale": config.scale, "seed": config.seed},
+            config, "fig6", problem, RaceCoarseSearch, sizes, draws=3
         )
         table_rows = tuple(
             (

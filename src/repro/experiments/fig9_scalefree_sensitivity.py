@@ -9,12 +9,10 @@ from __future__ import annotations
 
 import math
 
-from repro.core.framework import SamplingPartitioner
 from repro.core.search import GradientDescentSearch
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.report import ExperimentReport, ReportTable
 from repro.experiments.runner import hh_problem, sensitivity_sweep
-from repro.util.rng import stable_seed
 from repro.util.stats import near_concave_violations
 
 DEFAULT_DATASETS = ["cant", "web-BerkStan"]
@@ -43,20 +41,8 @@ def run(config: ExperimentConfig | None = None) -> ExperimentReport:
         grid = _size_grid(problem.a.n_rows)
         sizes = [s for _, s in grid]
 
-        def partitioner_for(size: int, draw: int) -> SamplingPartitioner:
-            return SamplingPartitioner(
-                GradientDescentSearch(),
-                sample_size=size,
-                rng=stable_seed(config.seed, "fig9", name, size, draw),
-            )
-
         rows = sensitivity_sweep(
-            problem,
-            partitioner_for,
-            sizes,
-            validate_traces=config.validate_traces,
-            engine=config.engine(),
-            cache_fields={"study": "fig9", "scale": config.scale, "seed": config.seed},
+            config, "fig9", problem, GradientDescentSearch, sizes
         )
         table_rows = tuple(
             (

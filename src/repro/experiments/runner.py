@@ -5,14 +5,13 @@ them) all follow the same protocol per dataset: run the exhaustive oracle,
 the sampling estimate, and the baselines, with the NaiveAverage computed
 across the whole suite first.  This module implements that protocol once.
 
-Execution goes through the config's :class:`repro.engine.Engine`:
+Execution goes through the config's :class:`repro.engine.Engine`, and
+every pass fans out across its units:
 
-* the exhaustive oracle prices its grid in one vectorized sweep on
-  problems with batch pricing, and falls back to fanning per-threshold
-  evaluations out over the engine's worker pool otherwise (see
-  :func:`repro.core.oracle.exhaustive_oracle` and docs/PERFORMANCE.md);
-* the per-dataset estimate/baseline pass fans out across datasets;
-* the sensitivity grids (Figures 4/6/9) fan out across their
+* the oracle pass across datasets, one
+  :func:`repro.core.oracle.exhaustive_oracle` per dataset;
+* the estimate/baseline pass across datasets;
+* the sensitivity grids (Figures 4/6/9) across their
   (sample size, draw) units.
 
 Every unit is *self-seeding* — its randomness derives from
@@ -44,13 +43,13 @@ from repro.core.baselines import (
 )
 from repro.core.framework import SamplingPartitioner
 from repro.core.oracle import OracleResult, exhaustive_oracle
-from repro.core.problem import PartitionProblem, has_batch_pricing
+from repro.core.problem import PartitionProblem
 from repro.core.search import (
     CoarseToFineSearch,
     GradientDescentSearch,
     RaceCoarseSearch,
+    SearchStrategy,
 )
-from repro.engine import Engine
 from repro.experiments.config import ExperimentConfig
 from repro.hetero.cc import CcProblem
 from repro.hetero.hh_cpu import HhCpuProblem
@@ -263,20 +262,14 @@ def run_study(config: ExperimentConfig, kind: str) -> list[BaselineComparison]:
 
     with _obs.span(f"study/{kind}", cat="experiments", datasets=len(names)):
         engine = config.engine()
-        # Pass 1 — oracles.  Each missing oracle runs in the parent and
-        # fans its per-threshold evaluations out over the engine's pool.
+        # Pass 1 — oracles, fanned out across datasets.
         oracles: list[OracleResult] = engine.cached_map(
-            lambda p: exhaustive_oracle(p, parallel_map=engine.parallel_map),
+            exhaustive_oracle,
             names,
             key_fields=[_oracle_key(config, name, problem_class) for name in names],
             encode=OracleResult.to_record,
             decode=OracleResult.from_record,
             count=lambda o: o.n_evaluations,
-            # Problems with pricing tables sweep their grid in one
-            # vectorized call; the stat lets the bench report show batch
-            # coverage.
-            count_batched=lambda p, o: o.n_evaluations if has_batch_pricing(p) else 0,
-            parallel=False,
             prepare=problem,
         )
         naive_avg = naive_average_threshold([o.threshold for o in oracles])
@@ -311,60 +304,55 @@ def run_study(config: ExperimentConfig, kind: str) -> list[BaselineComparison]:
 
 
 def sensitivity_sweep(
+    config: ExperimentConfig,
+    study: str,
     problem: PartitionProblem,
-    partitioner_for: Callable[[int, int], SamplingPartitioner],
+    search: Callable[[], SearchStrategy],
     sizes: list[int],
     draws: int = 5,
-    validate_traces: bool = False,
-    engine: Engine | None = None,
-    cache_fields: dict | None = None,
 ) -> list[dict]:
     """The Figure 4/6/9 protocol: total time vs sample size.
 
     For each sample size, run *draws* independent estimates (different
     sampling seeds) and average the estimation cost, the Phase-II time at
-    the estimated threshold, and their sum.  ``partitioner_for(size, draw)``
-    supplies a configured partitioner.  With *validate_traces*, every
-    estimated threshold's simulated schedule is hazard-checked.
-
-    With an *engine*, the (size, draw) units fan out over its worker pool
-    and — when *cache_fields* names the study — finished units are cached;
-    both are output-invariant because each unit's partitioner is seeded
-    from (study, dataset, size, draw).
+    the estimated threshold, and their sum.  Each estimate is a
+    :class:`SamplingPartitioner` around a fresh ``search()``, seeded from
+    (config seed, *study*, dataset, size, draw), so the (size, draw) units
+    fan out over the config's engine and are cached under *study* without
+    changing a number.  With ``config.validate_traces``, every estimated
+    threshold's simulated schedule is hazard-checked.
     """
     grid = problem.threshold_grid()
     lo, hi = float(grid[0]), float(grid[-1])
     units = [(size, draw) for size in sizes for draw in range(draws)]
-    payloads = [
-        (problem, partitioner_for(size, draw), lo, hi) for size, draw in units
-    ]
-    if engine is not None:
-        keys = None
-        if cache_fields is not None:
-            keys = [
-                {
-                    "kind": "sensitivity",
-                    **cache_fields,
-                    "dataset": problem.name,
-                    "problem": type(problem).__name__,
-                    "strategy": _strategy_label(payload[1]),
-                    "sample_size": size,
-                    "draw": draw,
-                }
-                for (size, draw), payload in zip(units, payloads)
-            ]
-        results = engine.cached_map(
-            _sweep_task,
-            payloads,
-            key_fields=keys,
-            count=lambda r: r["n_evaluations"],
-            count_batched=lambda p, r: (
-                r["n_evaluations"] if has_batch_pricing(p[0]) else 0
-            ),
+    partitioners = [
+        SamplingPartitioner(
+            search(),
+            sample_size=size,
+            rng=stable_seed(config.seed, study, problem.name, size, draw),
         )
-    else:
-        results = [_sweep_task(p) for p in payloads]
-    if validate_traces:
+        for size, draw in units
+    ]
+    results = config.engine().cached_map(
+        _sweep_task,
+        [(problem, partitioner, lo, hi) for partitioner in partitioners],
+        key_fields=[
+            {
+                "kind": "sensitivity",
+                "study": study,
+                "scale": config.scale,
+                "seed": config.seed,
+                "dataset": problem.name,
+                "problem": type(problem).__name__,
+                "strategy": _strategy_label(partitioner),
+                "sample_size": size,
+                "draw": draw,
+            }
+            for (size, draw), partitioner in zip(units, partitioners)
+        ],
+        count=lambda r: r["n_evaluations"],
+    )
+    if config.validate_traces:
         for result in results:
             validate_reported_traces(problem, [result["threshold"]])
     rows = []

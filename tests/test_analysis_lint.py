@@ -368,20 +368,17 @@ class TestPerf001:
 
     def test_sanctioned_scalar_loops_fire_without_suppression(self):
         # The shipped scalar sweeps — evaluate_grid's scalar fallbacks
-        # (the 1-D grid loop and the cut-vector row loop) and the oracle
-        # pool worker — rely on their line suppressions: stripping the
-        # comments must re-expose exactly the expected PERF001s per file.
-        for rel, expected in (("core/problem.py", 2), ("core/oracle.py", 1)):
-            path = SRC_ROOT / rel
-            bare = path.read_text(encoding="utf-8").replace(
-                "# reprolint: disable=PERF001", "#"
-            )
-            hits = [
-                f
-                for f in lint_source(bare, f"repro/{rel}")
-                if f.code == "PERF001"
-            ]
-            assert len(hits) == expected, rel
+        # (the 1-D grid loop and the cut-vector row loop) — rely on their
+        # line suppressions: stripping the comments must re-expose
+        # exactly the expected PERF001s.
+        rel = "core/problem.py"
+        bare = (SRC_ROOT / rel).read_text(encoding="utf-8").replace(
+            "# reprolint: disable=PERF001", "#"
+        )
+        hits = [
+            f for f in lint_source(bare, f"repro/{rel}") if f.code == "PERF001"
+        ]
+        assert len(hits) == 2
 
 
 class TestPerf002:

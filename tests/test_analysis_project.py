@@ -124,21 +124,24 @@ def scan(root):
         assert codes(findings) == ["DET002"]
         assert "sorted(" in findings[0].message
 
-    def test_parallel_false_registration_is_exempt(self):
+    def test_cached_map_registration_is_a_worker_root(self):
+        # The engine sends every cached_map unit through its pool, so a
+        # registered task's wall-clock read is on a determinism root.
         findings = analyze_source_set(
             {
                 "serial.py": """\
 import time
 
 def run(engine, items):
-    return engine.cached_map(work, items, parallel=False)
+    return engine.cached_map(work, items)
 
 def work(x):
     return time.time() + x
 """
             }
         )
-        assert findings == []
+        assert codes(findings) == ["DET001"]
+        assert "passed to .cached_map()" in findings[0].message
 
 
 class TestParRules:

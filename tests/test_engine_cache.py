@@ -125,34 +125,17 @@ class TestCachedMap:
     def test_prepare_runs_only_for_misses(self, tmp_path):
         engine = Engine(workers=1, cache=ResultCache(tmp_path, salt="t"))
         engine.cached_map(_double, [1], key_fields=[{"i": 1}])
-        prepared, batched = [], []
+        prepared = []
 
         def prepare(x):
             prepared.append(x)
             return 10 * x
 
         out = engine.cached_map(
-            _double,
-            [1, 2],
-            key_fields=[{"i": 1}, {"i": 2}],
-            prepare=prepare,
-            count_batched=lambda payload, r: batched.append(payload) or 0,
+            _double, [1, 2], key_fields=[{"i": 1}, {"i": 2}], prepare=prepare
         )
         assert [r["value"] for r in out] == [2, 40]
-        assert prepared == [2] and batched == [20]
-
-    def test_parallel_false_runs_inline_closures(self, tmp_path):
-        engine = Engine(workers=1, cache=ResultCache(tmp_path, salt="t"))
-        seen = []
-
-        def inline(x):
-            seen.append(x)
-            return {"value": x}
-
-        out = engine.cached_map(
-            inline, [7], key_fields=[{"i": 7}], parallel=False
-        )
-        assert out == [{"value": 7}] and seen == [7]
+        assert prepared == [2]
 
 
 class TestGetEngine:

@@ -17,6 +17,7 @@ from dataclasses import replace
 import pytest
 
 from repro.experiments import (
+    ext_cluster,
     ext_dynamic,
     fig3_cc,
     fig4_cc_sensitivity,
@@ -29,6 +30,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.hetero.cc import CcProblem
 from repro.hetero.hh_cpu import HhCpuProblem
 from repro.hetero.spmm import SpmmProblem
+from repro.obs import runtime
 
 #: Tiny but structurally diverse: one banded FEM and one heavier FEM matrix,
 #: both present in all three study suites.
@@ -42,6 +44,9 @@ STUDIES = {
     # worker pool: the whole report (static vs dynamic vs oracle cells)
     # is compared byte for byte.
     "ext-dynamic": ext_dynamic.run,
+    # Both passes (cluster oracle, sampled tune) fan out across their
+    # (dataset, p) units.
+    "ext-cluster": ext_cluster.run,
 }
 
 
@@ -75,6 +80,18 @@ class TestParallelMatchesSerial:
         # Spell the acceptance criterion out: thresholds and runtimes match.
         for table_s, table_p in zip(serial.tables, parallel.tables):
             assert table_p.rows == table_s.rows
+
+    def test_every_study_pass_fans_out_across_datasets(self):
+        """Pooled fig3 runs one pool task per dataset in each pass: the
+        oracle unit and the estimate/baseline unit."""
+        _, metrics = runtime.enable()
+        try:
+            pooled = fig3_cc.run(replace(BASE, workers=2))
+            tasks = metrics.snapshot()["counters"].get("pool.tasks", 0)
+        finally:
+            runtime.disable()
+        assert tasks == 2 * len(BASE.datasets)
+        assert pooled.render() == fig3_cc.run(BASE).render()
 
     def test_fig4_sensitivity_grid_bit_identical(self):
         config = replace(BASE, datasets=("delaunay_n22",))

@@ -1,4 +1,4 @@
-"""Tests for repro.engine.parallel: ordered fan-out and oracle equivalence."""
+"""Tests for repro.engine.parallel: ordered fan-out, serial = pooled."""
 
 from __future__ import annotations
 
@@ -15,7 +15,8 @@ import pytest
 import repro
 from repro.core.oracle import exhaustive_oracle
 from repro.engine import Engine, FaultPlan, FaultSpec, shutdown_engines
-from repro.engine.parallel import ParallelMap, chunked
+from repro.engine import parallel
+from repro.engine.parallel import ParallelMap
 from repro.experiments import cli
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import cc_problem, spmm_problem
@@ -73,54 +74,19 @@ def _psm_segments() -> set[str]:
 
 
 class _ScalarGridProblem:
-    """A scalar-only problem (no ``evaluate_many``): takes the pool path.
+    """A scalar-only problem (no ``evaluate_many``): the oracle's sweep
+    takes :func:`repro.core.problem.evaluate_grid`'s scalar fallback."""
 
-    Module-level (and trivially picklable) because the fan-out ships the
-    problem to worker processes.
-    """
-
-    name = "scalar-grid"
-
-    def __init__(self, n_points: int = 101) -> None:
+    def __init__(self, n_points: int, center: float) -> None:
+        self.name = f"scalar-grid-{n_points}"
         self._grid = np.linspace(0.0, 100.0, n_points)
+        self._center = center
 
     def evaluate_ms(self, threshold: float) -> float:
-        t = float(threshold)
-        return 1.0 + (t - 37.0) ** 2 / 1000.0
+        return 1.0 + (float(threshold) - self._center) ** 2 / 1000.0
 
     def threshold_grid(self) -> np.ndarray:
         return self._grid
-
-
-class _PoisonPool:
-    """A many-worker pool whose map must never be called."""
-
-    workers = 8
-
-    def map(self, fn, payloads):
-        raise AssertionError("batched problems must not fan out over the pool")
-
-
-class TestChunked:
-    def test_contiguous_and_order_preserving(self):
-        chunks = chunked(list(range(10)), 3)
-        assert [x for c in chunks for x in c] == list(range(10))
-        assert len(chunks) == 3
-
-    def test_near_equal_sizes(self):
-        sizes = [len(c) for c in chunked(list(range(11)), 4)]
-        assert max(sizes) - min(sizes) <= 1
-
-    def test_fewer_items_than_chunks(self):
-        chunks = chunked([1, 2], 8)
-        assert chunks == [[1], [2]]
-
-    def test_empty(self):
-        assert chunked([], 4) == []
-
-    def test_rejects_zero_chunks(self):
-        with pytest.raises(ValueError):
-            chunked([1], 0)
 
 
 class TestParallelMap:
@@ -164,7 +130,6 @@ class TestParallelMap:
             pytest.param(ParallelMap, {"max_retries": -1}, id="max_retries"),
             pytest.param(ParallelMap, {"backoff_base_s": -0.1}, id="backoff_base_s"),
             pytest.param(ParallelMap, {"backoff_jitter": -0.1}, id="backoff_jitter"),
-            pytest.param(chunked, {"items": [1], "n_chunks": 0}, id="n_chunks"),
             pytest.param(
                 Engine().cached_map,
                 {"fn": _square, "payloads": [1, 2], "key_fields": [{"i": 1}]},
@@ -307,54 +272,55 @@ class TestPooledCliRun:
 
 
 class TestParallelOracle:
-    """The per-threshold fan-out must be bit-identical to the serial sweep."""
+    """A study's oracle is one engine unit: the pooled unit is
+    bit-identical to the serial sweep, also without ``evaluate_many``."""
 
     @pytest.mark.parametrize("factory", [cc_problem, spmm_problem])
     def test_bit_identical_to_serial(self, factory):
         problem = factory(TINY, "cant")
-        serial = exhaustive_oracle(problem)
-        pmap = ParallelMap(2)
-        try:
-            parallel = exhaustive_oracle(problem, parallel_map=pmap)
-        finally:
-            pmap.close()
-        assert parallel == serial  # dataclass equality: every field, exactly
+        engine = Engine(workers=2)
+        [pooled] = engine.cached_map(exhaustive_oracle, [problem])
+        assert not engine.stats.degraded
+        assert pooled == exhaustive_oracle(problem)  # every field, exactly
 
-    def test_serial_pmap_takes_serial_path(self):
+    def test_serial_pmap_takes_serial_path(self, monkeypatch):
+        # At workers=1 the map is the plain in-process loop: it never
+        # sets up the fault-tolerant run that a pool needs.
         problem = cc_problem(TINY, "cant")
-        assert exhaustive_oracle(problem, parallel_map=ParallelMap(1)) == (
+        monkeypatch.setattr(parallel, "_MapRun", None)
+        assert ParallelMap(1).map(exhaustive_oracle, [problem]) == [
             exhaustive_oracle(problem)
-        )
+        ]
+
+    @staticmethod
+    def _scalar_sweep(problem: _ScalarGridProblem) -> tuple[float, float, float]:
+        """First strict minimum in grid order; cost as the left-fold sum."""
+        best_t, best_ms, cost_ms = None, float("inf"), 0.0
+        for t in problem.threshold_grid():
+            ms = problem.evaluate_ms(t)
+            cost_ms += ms
+            if ms < best_ms:
+                best_t, best_ms = float(t), ms
+        return best_t, best_ms, cost_ms
 
     def test_scalar_only_problem_fans_out_bit_identical(self):
-        # cc/spmm now batch-price (and skip the pool), so the fan-out path
-        # is exercised by a problem without an evaluate_many hook.
-        problem = _ScalarGridProblem()
-        serial = exhaustive_oracle(problem)
-        pmap = ParallelMap(2)
-        try:
-            parallel = exhaustive_oracle(problem, parallel_map=pmap)
-        finally:
-            pmap.close()
-        assert parallel == serial
-
-    def test_grid_smaller_than_chunk_count(self):
-        # workers * 4 = 8 chunks from a 3-point grid: the empty tails must
-        # be dropped, not shipped to workers as no-op tasks.
-        problem = _ScalarGridProblem(n_points=3)
-        pmap = ParallelMap(2)
-        try:
-            result = exhaustive_oracle(problem, parallel_map=pmap)
-        finally:
-            pmap.close()
-        assert result == exhaustive_oracle(problem)
-        assert result.n_evaluations == 3
-
-    @pytest.mark.parametrize("factory", [cc_problem, spmm_problem])
-    def test_batched_problem_skips_pool(self, factory):
-        # Path choice is by capability, before the worker count: a batched
-        # problem never touches the pool even when one is offered.
-        problem = factory(TINY, "cant")
-        assert exhaustive_oracle(problem, parallel_map=_PoisonPool()) == (
-            exhaustive_oracle(problem)
-        )
+        # A 101-point grid, and a 3-point grid whose first two points tie
+        # at the minimum (so the first strict minimum must win).
+        problems = [_ScalarGridProblem(101, 37.0), _ScalarGridProblem(3, 25.0)]
+        engine = Engine(workers=2)
+        pooled = engine.cached_map(exhaustive_oracle, problems)
+        assert not engine.stats.degraded
+        assert engine.stats.effective_workers == 2
+        for problem, result in zip(problems, pooled):
+            serial = exhaustive_oracle(problem)
+            assert result == serial
+            grid = problem.threshold_grid()
+            assert serial.evaluations == tuple(
+                (float(t), problem.evaluate_ms(t)) for t in grid
+            )
+            assert (
+                serial.threshold,
+                serial.best_time_ms,
+                serial.search_cost_ms,
+            ) == self._scalar_sweep(problem)
+        assert pooled[1].threshold == 0.0  # the tie resolves to grid order

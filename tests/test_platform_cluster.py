@@ -190,19 +190,13 @@ class TestP2BitIdentity:
         with pytest.raises(ValidationError):
             CcProblem(random_graph(50, 80, seed=5), wide)
 
-    def test_oracle_identical_serial_and_workers2(self, machine, pair, tmp_path):
+    def test_oracle_identical_serial_and_workers2(self, machine, pair):
         from repro.engine import Engine
 
-        problem_serial = CcProblem(random_graph(300, 700, seed=9), machine)
+        serial = exhaustive_oracle(CcProblem(random_graph(300, 700, seed=9), machine))
         problem_pair = CcProblem(random_graph(300, 700, seed=9), pair)
-        serial = exhaustive_oracle(problem_serial)
-        engine = Engine(workers=2)
-        try:
-            fanned = exhaustive_oracle(
-                problem_pair, parallel_map=engine.parallel_map
-            )
-        finally:
-            engine.close()
+        [fanned] = Engine(workers=2).cached_map(exhaustive_oracle, [problem_pair])
+        assert fanned == exhaustive_oracle(problem_pair)
         assert fanned.threshold == serial.threshold
         assert fanned.best_time_ms == serial.best_time_ms
 

@@ -10,9 +10,9 @@ which
 1. runs ``pytest benchmarks/ -q`` (at the conftest's ``BENCH_SCALE``) with
    pytest-benchmark JSON output and the engine's counter dump enabled,
 2. distills it into ``BENCH_<YYYY-MM-DD>.json``: per-benchmark wall-clock,
-   the engine's cache hit rate and worker count, the batched-evaluation
-   share, and the batched-vs-scalar oracle sweep speedup
-   (``sweep_speedup``; docs/PERFORMANCE.md), and
+   the engine's cache hit rate, worker count and computed evaluations,
+   and the batched-vs-scalar oracle sweep speedup (``sweep_speedup``;
+   docs/PERFORMANCE.md), and
 3. when a checked-in baseline exists (``benchmarks/BENCH_BASELINE.json``
    by default), fails with exit code 2 if any benchmark's mean regressed
    by more than ``--max-regression`` (default 25%), and
@@ -100,7 +100,6 @@ def distill(raw: dict, engine_stats: dict) -> dict:
     hits = int(engine_stats.get("hits", 0))
     misses = int(engine_stats.get("misses", 0))
     computed = int(engine_stats.get("computed_evaluations", 0))
-    batched = int(engine_stats.get("batched_evaluations", 0))
     return {
         "date": datetime.date.today().isoformat(),
         "commit": commit,
@@ -121,11 +120,7 @@ def distill(raw: dict, engine_stats: dict) -> dict:
             "misses": misses,
             "hit_rate": hits / (hits + misses) if (hits + misses) else 0.0,
         },
-        "evaluations": {
-            "computed": computed,
-            "batched": batched,
-            "batched_share": batched / computed if computed else 0.0,
-        },
+        "evaluations": {"computed": computed},
         "sweep_speedup": sweep_speedup(benchmarks),
         "benchmarks": benchmarks,
     }
@@ -413,11 +408,7 @@ def main(argv: list[str] | None = None) -> int:
             f"{faults['timeouts']} timeout(s), {faults['quarantined']} "
             f"quarantine(s), {faults['cache_corrupt']} corrupt cache entr(ies)"
         )
-    evals = report["evaluations"]
-    print(
-        f"evaluations: {evals['computed']} computed, {evals['batched']} "
-        f"batched ({100 * evals['batched_share']:.1f}% vectorized)"
-    )
+    print(f"evaluations: {report['evaluations']['computed']} computed")
     if report["sweep_speedup"] is not None:
         print(f"oracle sweep: batched {report['sweep_speedup']:.1f}x faster than scalar")
 

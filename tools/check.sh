@@ -5,9 +5,10 @@
 # parallel-safety / unit rules over the project graph), the analyzer's
 # own test suites, the API surface snapshot (docs/API.md vs the live
 # surface), the engine test suite, the chaos suite, a cross-process warm
-# replay of table1, a cross-process serial-vs-pooled replay of fig4, fig9
-# and table1, the cluster experiments, the dynamic re-balancing
-# experiments, then the full tier-1 test suite.
+# replay of table1, a cross-process serial-vs-pooled replay of fig4, fig9,
+# table1 and ext-cluster, the cluster experiments, the dynamic
+# re-balancing experiments, every example, then the full tier-1 test
+# suite.
 # Run from the repository root:
 #
 #     tools/check.sh            # lint + project analysis + tests
@@ -69,7 +70,7 @@ echo
 echo "== pooled replay (cross-process) =="
 for workers in 1 2; do
     python -m repro.experiments --no-cache --scale 0.015625 \
-        --workers "$workers" fig4 fig9 table1 \
+        --workers "$workers" fig4 fig9 table1 ext-cluster \
         > "$warm_tmp/pooled$workers.txt" 2> "$warm_tmp/pooled$workers.err"
 done
 test ! -s "$warm_tmp/pooled2.err"
@@ -85,6 +86,17 @@ echo
 echo "== dynamic re-balancing experiments =="
 python -m pytest -x -q tests/test_hetero_dynamic_rebalance.py
 python -m repro.experiments ext-dynamic --scale 0.0625 --no-cache
+
+echo
+echo "== examples (exit 0, empty stderr) =="
+for example in examples/*.py; do
+    echo "-- $example"
+    python "$example" > /dev/null 2> "$warm_tmp/example.err"
+    if [[ -s "$warm_tmp/example.err" ]]; then
+        cat "$warm_tmp/example.err" >&2
+        exit 1
+    fi
+done
 
 echo
 echo "== tier-1 tests =="
