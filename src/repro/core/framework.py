@@ -170,9 +170,10 @@ class SamplingPartitioner:
                 # sample) expose probe_cost_ms; otherwise the probe cost is the
                 # sum of the evaluated times.
                 probe_cost_fn = getattr(sub, "probe_cost_ms", None)
-                # Literal (ablation) samples report real run times directly and
-                # advertise is_sample=False; their probe costs are the evaluated
-                # times themselves.
+                # Literal (ablation) samples, and samples that keep every row
+                # of a tiny input, report real run times directly and
+                # advertise is_sample=False; their probe costs are the
+                # evaluated times themselves.
                 if probe_cost_fn is not None and getattr(sub, "is_sample", True):
                     cost += result.n_evaluations * probe_cost_fn() + result.extra_cost_ms
                 else:

@@ -48,8 +48,6 @@ from repro.util.rng import as_generator, stable_seed
 ROUNDS = 8
 #: Density ramp endpoints (nnz/row) of the synthetic workloads.
 RAMP_LO, RAMP_HI = 10.0, 200.0
-#: Between-round damping; half-steps track ramps without chasing sawtooth.
-RELAX = 0.5
 
 DRIFT_WORKLOADS = ("density-ramp", "ramp-reversed", "sawtooth")
 WORKLOADS = DRIFT_WORKLOADS + ("shuffled",)
@@ -127,9 +125,7 @@ def run(config: ExperimentConfig | None = None) -> ExperimentReport:
         static_ms = sum(
             problem.round_block(lo, hi).evaluate_ms(t0) for lo, hi in bounds
         )
-        dynamic = DynamicRebalance(
-            partitioner(), rounds=ROUNDS, relax=RELAX
-        ).run(problem)
+        dynamic = DynamicRebalance(partitioner(), rounds=ROUNDS).run(problem)
         oracle_ts, oracle_ms = per_round_oracle(problem, ROUNDS)
 
         gain = 100.0 * (static_ms - dynamic.total_ms) / static_ms
@@ -224,16 +220,10 @@ def _steal_study(
             rng=stable_seed(config.seed, "ext-dynamic", "steal", "est"),
         )
 
-    plain = DynamicRebalance(partitioner(), rounds=ROUNDS, relax=RELAX).run(
+    plain = DynamicRebalance(partitioner(), rounds=ROUNDS).run(problem)
+    stealing = DynamicRebalance(partitioner(), rounds=ROUNDS, steal=True).run(
         problem
     )
-    stealing = DynamicRebalance(
-        partitioner(),
-        rounds=ROUNDS,
-        relax=RELAX,
-        steal=True,
-        steal_chunks=8,
-    ).run(problem)
     rows = [
         ("rounds only", plain.total_ms, plain.stolen_rows),
         ("rounds + stealing", stealing.total_ms, stealing.stolen_rows),

@@ -149,10 +149,6 @@ class CcProblem:
         by :meth:`sample`, ``None`` for full instances.
     """
 
-    #: The PCIe traffic ships the *CPU's* labels up for the GPU merge, so
-    #: the dynamic-rebalance observer charges it to the CPU side.
-    rebalance_pcie_device = "cpu"
-
     def __init__(
         self,
         graph: Graph,

@@ -441,6 +441,15 @@ class HhCpuProblem:
         work = float(self.a.nnz) * frac + float(size)
         return work / effective_rate_per_ms(self.machine.cpu, PROFILE_ROW_GATHER)
 
+    @property
+    def is_sample(self) -> bool:
+        """Whether this instance prices a larger input it was sampled from.
+
+        A sample that keeps every row has nothing to scale up: it is the
+        input itself, and its probe runs cost what they price.
+        """
+        return self.work_scale != 1.0
+
     def probe_cost_ms(self) -> float:
         """Actual cost of one identify probe on a sampled instance.
 
@@ -448,7 +457,7 @@ class HhCpuProblem:
         which the load-vector identity yields from one pass over the
         sampled rows' nonzeros — no multiplication is executed.
         """
-        if self.work_scale == 1.0:
+        if not self.is_sample:
             raise ValidationError("probe_cost_ms is defined for sampled instances")
         work = float(self.a.nnz + self.a.n_rows)
         return work / effective_rate_per_ms(self.machine.cpu, PROFILE_ROW_GATHER)

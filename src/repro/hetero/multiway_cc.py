@@ -13,7 +13,7 @@ ranges by a *threshold vector* of cumulative percentages.
   range ``[c_i, c_{i+1})`` (the last one up to 100).  Percent ``c`` is
   vertex ``round(n * c / 100)``.
 * This module only turns the vector into vertex cuts: pricing, the
-  Phase-II timeline, execution, sampling and round blocks are the scalar
+  Phase-II timeline, execution and sampling are the scalar
   :class:`~repro.hetero.cc.CcProblem`'s vertex-range methods run on the
   cluster, each range priced on its *own* device spec, so unequal
   accelerators pull the optimum away from equal shares.  A merge pass on
@@ -44,7 +44,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.cut_vector import cuts_for_shares, shares_for_cuts
 from repro.core.problem import check_thresholds
 from repro.graphs.graph import Graph
 from repro.graphs.shiloach_vishkin import SvResult
@@ -280,32 +279,6 @@ class MultiwayCcProblem:
 
     def default_sample_size(self) -> int:
         return self._base.default_sample_size()
-
-    # -- rounds (repro.hetero.dynamic_rebalance) ------------------------------------------
-
-    def round_axis_n(self) -> int:
-        """Length of the axis rounds are cut along (vertices)."""
-        return self.graph.n
-
-    def round_block(self, lo: int, hi: int) -> "MultiwayCcProblem":
-        """The induced subgraph on vertices ``[lo, hi)``, same cluster."""
-        block = self._base.round_block(lo, hi)
-        return MultiwayCcProblem(
-            block.graph,
-            self.cluster,
-            name=f"{self.name}/verts[{lo}:{hi})",
-            base=block,
-        )
-
-    def device_shares_at(self, thresholds: Sequence[float]) -> tuple[float, ...]:
-        """Per-device vertex shares implied by a cumulative cut vector."""
-        return shares_for_cuts(self._check_vector(thresholds))
-
-    def thresholds_for_device_shares(
-        self, shares: Sequence[float]
-    ) -> tuple[float, ...]:
-        """Cumulative cut vector giving each device its requested share."""
-        return cuts_for_shares(shares, self.n_gpus + 1)
 
     # -- real execution -------------------------------------------------------------------
 

@@ -5,7 +5,7 @@ The work-share axis generalizes directly: a threshold vector
 the rows carrying work ``[0, c_1)`` percent and accelerator ``i`` the rows
 carrying ``[c_i, c_{i+1})`` percent (the last one up to 100).  This module
 only turns the vector into row cuts: pricing, the Phase-II timeline,
-execution and round blocks are the scalar
+execution and sampling are the scalar
 :class:`~repro.hetero.spmm.SpmmProblem`'s row-range methods run on the
 cluster, each range priced on its own
 :class:`~repro.platform.device.DeviceSpec`.  A ``p = 2`` cluster built by
@@ -27,7 +27,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.cut_vector import cuts_for_shares, shares_for_cuts
 from repro.core.problem import check_thresholds
 from repro.hetero.multiway_cc import _gpu_cluster
 from repro.hetero.spmm import SpmmProblem
@@ -194,32 +193,6 @@ class MultiwaySpmmProblem:
 
     def default_sample_size(self) -> int:
         return self._base.default_sample_size()
-
-    # -- rounds (repro.hetero.dynamic_rebalance) ----------------------------------------
-
-    def round_axis_n(self) -> int:
-        """Length of the axis rounds are cut along (rows of ``A``)."""
-        return self.a.n_rows
-
-    def round_block(self, lo: int, hi: int) -> "MultiwaySpmmProblem":
-        """The contiguous row block ``[lo, hi)`` on the same cluster."""
-        block = self._base.round_block(lo, hi)
-        return MultiwaySpmmProblem(
-            block.a,
-            self.cluster,
-            name=f"{self.name}/rows[{lo}:{hi})",
-            base=block,
-        )
-
-    def device_shares_at(self, thresholds: Sequence[float]) -> tuple[float, ...]:
-        """Per-device work shares implied by a cumulative cut vector."""
-        return shares_for_cuts(self._check_vector(thresholds))
-
-    def thresholds_for_device_shares(
-        self, shares: Sequence[float]
-    ) -> tuple[float, ...]:
-        """Cumulative cut vector giving each device its requested share."""
-        return cuts_for_shares(shares, self.n_gpus + 1)
 
     # -- real execution -----------------------------------------------------------------
 

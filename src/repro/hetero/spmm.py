@@ -60,7 +60,8 @@ _INDEX = np.int64
 _BYTES_PER_NNZ = 16
 
 #: Trace lanes of the one accelerator: compute resource and label, then
-#: result-transfer resource and label (DynamicRebalance reads these).
+#: result-transfer resource and label.  They keep the scalar problem's
+#: span names (``gpu``/``pcie``) stable across the shared cut kernel.
 _SCALAR_LANES = (("gpu", "phase2/spgemm-gpu", "pcie", "phase2/d2h-result"),)
 
 #: Streaming gather of sampled rows plus column filtering during sample
@@ -334,6 +335,15 @@ class SpmmProblem:
             + self.machine.link.latency_us * 1e-3
         )
 
+    @property
+    def is_sample(self) -> bool:
+        """Whether this instance prices a larger input it was sampled from.
+
+        A sample that keeps every row has nothing to scale up: it is the
+        input itself, and its probe runs cost what they price.
+        """
+        return self.work_scale != 1.0 or self._rep is not None
+
     def probe_cost_ms(self) -> float:
         """Actual cost of one identify probe on a sampled instance.
 
@@ -341,7 +351,7 @@ class SpmmProblem:
         sample's own (unscaled) work at combined machine throughput, not
         the scaled decision value ``evaluate_ms`` reports.
         """
-        if self.work_scale == 1.0 and self._rep is None:
+        if not self.is_sample:
             raise ValidationError("probe_cost_ms is defined for sampled instances")
         work = float(self._flop_prefix[-1])
         cpu_rate = effective_rate_per_ms(self.machine.cpu, self.profile)
@@ -574,7 +584,7 @@ class SpmmProblem:
         prices the whole input it represents, so slicing it has no
         full-instance meaning.
         """
-        if self.work_scale != 1.0 or self._rep is not None:
+        if self.is_sample:
             raise ValidationError("round_block is defined for full instances")
         if not 0 <= lo < hi <= self.a.n_rows:
             raise ValidationError(f"bad row block [{lo}, {hi})")
@@ -598,7 +608,7 @@ class SpmmProblem:
         D2H copy).  Every chunk is priced for **both** devices so
         :meth:`Timeline.steal_remaining` can migrate it.
         """
-        if self.work_scale != 1.0 or self._rep is not None:
+        if self.is_sample:
             raise ValidationError("round_queues is defined for full instances")
         if chunks < 1:
             raise ValidationError("chunks must be >= 1")

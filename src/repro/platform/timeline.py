@@ -135,11 +135,6 @@ class SpanQueue:
     def __len__(self) -> int:
         return len(self.labels)
 
-    def total_cost(self, resource: str | None = None) -> float:
-        """Summed item cost priced on *resource* (default: own resource)."""
-        res = resource if resource is not None else self.resource
-        return float(sum(c.get(res, 0.0) for c in self.costs))
-
 
 @dataclass(frozen=True)
 class StealReport:
@@ -166,13 +161,6 @@ class StealReport:
     @property
     def total_stolen(self) -> int:
         return sum(self.stolen.values())
-
-    def busy_ms(self, resource: str) -> float:
-        """Time *resource* spent executing its (post-steal) queue."""
-        finish = self.finish_ms.get(resource)
-        if finish is None:
-            return 0.0
-        return finish - self.start_ms
 
 
 class Timeline:
@@ -408,12 +396,7 @@ class Timeline:
 
     # -- work-stealing execution -------------------------------------------
 
-    def steal_remaining(
-        self,
-        queues: Sequence[SpanQueue],
-        steal_overhead_ms: float = 0.0,
-        label_prefix: str = "",
-    ) -> StealReport:
+    def steal_remaining(self, queues: Sequence[SpanQueue]) -> StealReport:
         """Drain *queues* concurrently, letting idle devices steal.
 
         Every queue starts at the current clock (a fork), each resource
@@ -423,8 +406,8 @@ class Timeline:
         tail items migrate, one at a time, to whichever device would
         otherwise go idle first, as long as each move strictly lowers the
         pair's joint finish; a device never loses its last item (that one
-        counts as already running).  Each claimed item costs the thief
-        *steal_overhead_ms* of coordination on top of its own-rate price.
+        counts as already running).  A claimed item costs the thief its
+        own-rate price.
 
         Because all costs are known up front, the greedy idle-time steals
         collapse to this deterministic tail re-balancing — the simulated
@@ -432,8 +415,6 @@ class Timeline:
         pass.  Stolen spans keep their label with a ``|stolen`` suffix so
         traces show who ran what.
         """
-        if steal_overhead_ms < 0:
-            raise ValueError("steal_overhead_ms must be non-negative")
         by_name = {}
         for q in queues:
             if q.resource in by_name:
@@ -460,7 +441,7 @@ class Timeline:
                 if thief not in cost:
                     break  # tail item cannot run elsewhere
                 new_victim = finish[victim] - cost[victim]
-                new_thief = finish[thief] + cost[thief] + steal_overhead_ms
+                new_thief = finish[thief] + cost[thief]
                 if max(new_victim, new_thief) >= max(
                     finish[victim], finish[thief]
                 ):
@@ -486,10 +467,9 @@ class Timeline:
             for i, label in enumerate(q.labels):
                 cost = q.costs[i][name]
                 if q.origins[i] is not None:
-                    cost += steal_overhead_ms
                     label = f"{label}|stolen"
                 resources.append(name)
-                labels.append(label_prefix + label)
+                labels.append(label)
                 starts.append(at)
                 durs.append(cost)
                 at += cost

@@ -4,28 +4,31 @@ The load-bearing contract is the rounds=1 anchor: ``DynamicRebalance``
 with one round must be *bit-identical* to the static sampled strategy
 (same estimate, same single timeline, column for column).  Everything
 else — the hindsight update beating a fixed cutoff under drift, the
-work-stealing drain, the serialized records — layers on
-top of that anchor.
+work-stealing drain — layers on top of that anchor.  ``TestRoundsProperties``
+checks the anchor and the rounds contracts generatively on small random
+spmm, hh, cc and dense-mm instances.
 """
+
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.framework import SamplingPartitioner
 from repro.core.search import RaceCoarseSearch
 from repro.hetero.cc import CcProblem
+from repro.hetero.dense_mm import DenseMmProblem
 from repro.hetero.dynamic_rebalance import (
     DynamicRebalance,
-    DynamicRebalanceResult,
-    RoundRecord,
     per_round_oracle,
     round_bounds,
 )
 from repro.hetero.hh_cpu import HhCpuProblem
-from repro.hetero.multiway_spmm import MultiwaySpmmProblem
 from repro.hetero.spmm import SpmmProblem
 from repro.obs import runtime
-from repro.platform.cluster import ClusterSpec
 from repro.sparse.construct import from_coo
 from repro.util.errors import ValidationError
 from repro.util.rng import as_generator
@@ -90,20 +93,34 @@ class TestRoundBounds:
         with pytest.raises(ValidationError):
             round_bounds(-1, 2)
 
+    def test_huge_round_count_builds_only_unit_blocks(self):
+        # Built edge by edge this would be a list of 10**12 + 1 entries.
+        assert round_bounds(5, 10**12) == [(i, i + 1) for i in range(5)]
+
+    def test_huge_round_count_runs_one_round_per_row(self, machine):
+        problem = SpmmProblem(ramp_matrix(40, 2.0, 10.0, seed=1), machine)
+        result = DynamicRebalance(fresh_partitioner(), rounds=10**12).run(
+            problem
+        )
+        assert [(r.lo, r.hi) for r in result.rounds] == [
+            (i, i + 1) for i in range(40)
+        ]
+
+    @pytest.mark.parametrize("rounds", [1, 4])
+    def test_empty_axis_runs_one_static_round(self, machine, rounds):
+        # Regression: rounds > 1 on an empty axis indexed an empty block list.
+        problem = DenseMmProblem(0, machine)
+        result = DynamicRebalance(fresh_partitioner(), rounds=rounds).run(
+            problem
+        )
+        assert [(r.lo, r.hi) for r in result.rounds] == [(0, 0)]
+        assert_timelines_identical(
+            result.timeline, problem.timeline(result.thresholds[0][0])
+        )
+
 
 class TestValidation:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"rounds": 0},
-            {"relax": 0.0},
-            {"relax": 1.5},
-            {"steal_chunks": 0},
-            {"steal_overhead_ms": -1.0},
-            {"min_share": 0.5},
-            {"min_share": -0.1},
-        ],
-    )
+    @pytest.mark.parametrize("kwargs", [{"rounds": 0}])
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ValidationError):
             DynamicRebalance(**kwargs)
@@ -134,24 +151,85 @@ class TestRoundsOneIsStatic:
         assert result.thresholds == ((t0,),)
         assert_timelines_identical(result.timeline, static_tl)
 
-    def test_vector_bit_identical(self, machine):
-        cluster = ClusterSpec.from_machine(machine, n_gpus=2)
-        problem = MultiwaySpmmProblem(banded_matrix(600, 10.0, rng=5), cluster)
-        vector = (25.0, 70.0)
-        static_tl = problem.timeline(vector)
 
-        result = DynamicRebalance(rounds=1).run_vector(problem, vector)
-        assert result.thresholds == (vector,)
+#: Problem kinds with round hooks; every one prices through evaluate_many.
+ROUND_KINDS = ("spmm", "hh", "cc", "dense-mm")
+
+
+def round_instance(kind, n, seed, machine):
+    """A small full instance of *kind* whose rounds axis has *n* items."""
+    if kind == "spmm":
+        return SpmmProblem(ramp_matrix(n, 0.5, 12.0, seed), machine, name="p")
+    if kind == "hh":
+        return HhCpuProblem(ramp_matrix(n, 0.5, 12.0, seed), machine, name="p")
+    if kind == "cc":
+        return CcProblem(random_graph(n, 2 * n, seed), machine, name="p")
+    return DenseMmProblem(n, machine, name="p")
+
+
+class TestRoundsProperties:
+    """The rounds contracts on small random instances of every kind."""
+
+    @pytest.mark.parametrize("kind", ROUND_KINDS)
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 48), seed=st.integers(0, 2**16))
+    @example(n=1, seed=0)
+    def test_rounds_one_is_static(self, machine, kind, n, seed):
+        problem = round_instance(kind, n, seed, machine)
+        t0 = clamped_estimate(problem, fresh_partitioner())
+        static_tl = problem.timeline(t0)
+
+        result = DynamicRebalance(fresh_partitioner(), rounds=1).run(problem)
+        assert result.thresholds == ((t0,),)
         assert_timelines_identical(result.timeline, static_tl)
 
-    def test_round_record_carries_lane_observations(self, machine):
-        problem = SpmmProblem(banded_matrix(300, 8.0, rng=2), machine)
-        result = DynamicRebalance(fresh_partitioner(), rounds=1).run(problem)
-        (record,) = result.rounds
-        for lane in ("cpu", "gpu"):
-            assert record.busy_ms[lane] > 0.0
-            assert record.finish_ms[lane] >= record.busy_ms[lane]
-        assert record.makespan_ms == result.total_ms
+    @pytest.mark.parametrize("kind", ROUND_KINDS)
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(1, 48),
+        seed=st.integers(0, 2**16),
+        rounds=st.integers(1, 64),
+    )
+    @example(n=1, seed=0, rounds=2)
+    @example(n=7, seed=1, rounds=7)
+    def test_rounds_tile_the_axis_and_sum_to_the_total(
+        self, machine, kind, n, seed, rounds
+    ):
+        problem = round_instance(kind, n, seed, machine)
+        result = DynamicRebalance(fresh_partitioner(), rounds=rounds).run(
+            problem
+        )
+        records = result.rounds
+        assert len(records) == min(rounds, n)
+        assert [r.index for r in records] == list(range(len(records)))
+        assert records[0].lo == 0 and records[-1].hi == problem.round_axis_n()
+        for prev, nxt in zip(records[:-1], records[1:]):
+            assert prev.hi == nxt.lo
+        for r in records:
+            block = problem if rounds == 1 else problem.round_block(r.lo, r.hi)
+            grid = block.threshold_grid()
+            (t,) = r.thresholds
+            assert float(grid[0]) <= t <= float(grid[-1])
+        folded = reduce(add, (r.makespan_ms for r in records), 0.0)
+        assert result.total_ms == result.timeline.total_ms == folded
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(1, 48),
+        seed=st.integers(0, 2**16),
+        rounds=st.integers(2, 16),
+    )
+    def test_stealing_leaves_the_threshold_path_alone(
+        self, machine, n, seed, rounds
+    ):
+        problem = round_instance("spmm", n, seed, machine)
+        plain = DynamicRebalance(fresh_partitioner(), rounds=rounds).run(
+            problem
+        )
+        stealing = DynamicRebalance(
+            fresh_partitioner(), rounds=rounds, steal=True
+        ).run(problem)
+        assert stealing.thresholds == plain.thresholds
 
 
 class TestRebalancing:
@@ -193,32 +271,6 @@ class TestRebalancing:
             )
             assert oracle_ms <= fixed + 1e-9
 
-    def test_fallback_probes_idle_device(self):
-        """Without batch pricing, a zero-share round probes via min_share."""
-
-        class _Stub:
-            name = "stub"
-
-            def threshold_grid(self):
-                return np.array([0.0, 100.0])
-
-        strategy = DynamicRebalance(rounds=2, min_share=0.1)
-        stub = _Stub()
-        # CPU ran nothing (share 0): the next round must give it the floor.
-        t = strategy._next_threshold(
-            stub, stub, 0.0, {"cpu": 0.0, "gpu": 5.0}, {"cpu": 0.0, "gpu": 5.0}
-        )
-        assert t == pytest.approx(10.0)
-        # Balanced observation moves toward the finish-time equalizer.
-        t = strategy._next_threshold(
-            stub,
-            stub,
-            50.0,
-            {"cpu": 8.0, "gpu": 2.0},
-            {"cpu": 8.0, "gpu": 2.0},
-        )
-        assert t < 50.0  # CPU is the laggard: shed CPU share
-
 
 class TestStealing:
     def test_steal_moves_rows_and_never_hurts(self, machine):
@@ -233,59 +285,10 @@ class TestStealing:
 
         plain = DynamicRebalance(fresh_partitioner(), rounds=4).run(problem)
         stealing = DynamicRebalance(
-            fresh_partitioner(), rounds=4, steal=True, steal_chunks=8
+            fresh_partitioner(), rounds=4, steal=True
         ).run(problem)
         assert stealing.stolen_rows > 0
         assert stealing.total_ms <= plain.total_ms + 1e-9
-
-    def test_steal_overhead_discourages_migration(self, machine):
-        a = ramp_matrix(400, 5.0, 80.0, seed=8)
-        problem = SpmmProblem(a, machine, name="steal-oh")
-        cheap = DynamicRebalance(
-            fresh_partitioner(), rounds=3, steal=True
-        ).run(problem)
-        dear = DynamicRebalance(
-            fresh_partitioner(), rounds=3, steal=True, steal_overhead_ms=1e6
-        ).run(problem)
-        assert dear.stolen_rows <= cheap.stolen_rows
-
-
-class TestRecords:
-    def test_round_record_round_trip(self):
-        record = RoundRecord(
-            index=2,
-            lo=10,
-            hi=20,
-            thresholds=(37.5,),
-            makespan_ms=1.25,
-            busy_ms={"cpu": 1.0, "gpu": 0.5},
-            finish_ms={"cpu": 1.1, "gpu": 0.6},
-            stolen_rows=3,
-        )
-        assert RoundRecord.from_record(record.to_record()) == record
-
-    def test_round_record_reads_legacy_payload(self):
-        # Records serialized before finish_ms existed must still load.
-        payload = {
-            "index": 0,
-            "lo": 0,
-            "hi": 5,
-            "thresholds": [50.0],
-            "makespan_ms": 1.0,
-            "busy_ms": {"cpu": 1.0},
-            "stolen_rows": 0,
-        }
-        record = RoundRecord.from_record(payload)
-        assert record.finish_ms == {}
-
-    def test_result_round_trip_drops_timeline(self, machine):
-        problem = SpmmProblem(banded_matrix(300, 8.0, rng=2), machine)
-        result = DynamicRebalance(fresh_partitioner(), rounds=2).run(problem)
-        assert result.timeline is not None
-        restored = DynamicRebalanceResult.from_record(result.to_record())
-        assert restored == result
-        assert restored.timeline is None
-        assert restored.stolen_rows == result.stolen_rows
 
 
 class TestObsCounters:

@@ -123,6 +123,16 @@ class TestHhSampling:
         sub = sf_problem.sample(28, rng=3)
         assert 0.0 < sub.probe_cost_ms() < sf_problem.evaluate_ms(0.0)
 
+    def test_estimate_when_the_sample_keeps_every_row(self, machine):
+        # Regression: the default sample of a two-row input keeps both rows,
+        # so it scales nothing; probe_cost_ms refused it and estimate raised.
+        problem = HhCpuProblem(random_sparse(2, 2, 0.9, seed=1), machine)
+        assert not problem.sample(problem.default_sample_size(), rng=0).is_sample
+        partitioner = SamplingPartitioner(GradientDescentSearch(), rng=7)
+        est = partitioner.estimate(problem)
+        assert np.isfinite(est.threshold)
+        assert est.estimation_cost_ms > 0.0
+
     def test_estimate_tracks_oracle(self, machine):
         a = scalefree_matrix(3000, 15.0, alpha=2.3, rng=6)
         problem = HhCpuProblem(a, machine)

@@ -130,6 +130,15 @@ class TestSamplingAndRace:
         with pytest.raises(ValidationError):
             problem.probe_cost_ms()
 
+    def test_estimate_when_the_sample_keeps_every_row(self, machine):
+        # Regression: the default sample of a two-row input keeps both rows,
+        # so it scales nothing; probe_cost_ms refused it and estimate raised.
+        problem = SpmmProblem(random_sparse(2, 2, 0.9, seed=1), machine)
+        assert not problem.sample(problem.default_sample_size(), rng=0).is_sample
+        est = SamplingPartitioner(RaceCoarseSearch(), rng=7).estimate(problem)
+        assert 0.0 <= est.threshold <= 100.0
+        assert est.estimation_cost_ms > 0.0
+
     def test_deterministic_sample_positions(self, problem):
         b0 = problem.deterministic_sample(100, 0)
         b3 = problem.deterministic_sample(100, 3)

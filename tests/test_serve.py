@@ -109,6 +109,41 @@ class TestApiTypes:
             ServeConfig(max_retries=-1)
 
 
+class TestDynamicRounds:
+    """``rounds > 1`` answers through DynamicRebalance, one cutoff a round."""
+
+    @pytest.mark.parametrize("rounds", [2, 4])
+    @pytest.mark.parametrize("problem", ["cc", "spmm", "hh"])
+    def test_one_threshold_per_round_deterministic(self, problem, rounds):
+        request = TuneRequest(
+            problem=problem, dataset="cant", scale=1 / 64, rounds=rounds
+        )
+        response = tune(request)
+        assert response.rounds == len(response.thresholds) == rounds
+        assert response.threshold == response.thresholds[0]
+        again = tune(request)
+        assert again == response
+        assert again.canonical_json() == response.canonical_json()
+        assert TuneResponse.from_record(response.to_record()) == response
+
+    def test_spmm_round_zero_is_the_static_threshold(self):
+        static = tune(TuneRequest(problem="spmm", dataset="cant", scale=1 / 64))
+        for rounds in (2, 4):
+            dynamic = tune(
+                TuneRequest(
+                    problem="spmm", dataset="cant", scale=1 / 64, rounds=rounds
+                )
+            )
+            assert dynamic.thresholds[0] == static.threshold
+
+    def test_rounds_validation(self):
+        with pytest.raises(ValidationError):
+            TuneRequest(problem="cc", dataset="cant", rounds=0)
+        for kind in ("cluster-cc", "cluster-spmm"):
+            with pytest.raises(ValidationError):
+                TuneRequest(problem=kind, dataset="cant", rounds=2)
+
+
 # ---------------------------------------------------------------------------
 # The determinism contract
 

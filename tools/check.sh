@@ -7,8 +7,8 @@
 # surface), the engine test suite, the chaos suite, a cross-process warm
 # replay of table1, a cross-process serial-vs-pooled replay of fig4, fig9,
 # table1 and ext-cluster, the cluster experiments, the dynamic
-# re-balancing experiments, every example, then the full tier-1 test
-# suite.
+# re-balancing experiments (ext-dynamic and ablation-dynamic), every
+# example, then the full tier-1 test suite.
 # Run from the repository root:
 #
 #     tools/check.sh            # lint + project analysis + tests
@@ -83,9 +83,16 @@ python -m pytest -x -q tests/test_platform_cluster.py
 python -m repro.experiments ext-cluster --scale 0.02 --no-cache
 
 echo
-echo "== dynamic re-balancing experiments =="
+echo "== dynamic re-balancing experiments (empty stderr) =="
 python -m pytest -x -q tests/test_hetero_dynamic_rebalance.py
-python -m repro.experiments ext-dynamic --scale 0.0625 --no-cache
+for exp in ext-dynamic ablation-dynamic; do
+    python -m repro.experiments "$exp" --scale 0.0625 --no-cache \
+        2> "$warm_tmp/$exp.err"
+    if [[ -s "$warm_tmp/$exp.err" ]]; then
+        cat "$warm_tmp/$exp.err" >&2
+        exit 1
+    fi
+done
 
 echo
 echo "== examples (exit 0, empty stderr) =="
