@@ -53,18 +53,6 @@ Rules
     problem's vectorized ``evaluate_many`` — see docs/PERFORMANCE.md);
     the two sanctioned scalar loops (``evaluate_grid``'s own fallbacks
     for scalar thresholds and cut-vector rows) carry line suppressions.
-``PERF002``
-    No scalar ``Timeline`` recording (``tl.run(...)`` / ``tl.overlap(...)``
-    / ``tl.record(...)``) inside a loop (or comprehension) in
-    ``repro/hetero``.  Per-chunk scalar appends are exactly the pattern
-    the columnar timeline's batch APIs replace: collect the spans and
-    make one :meth:`~repro.platform.timeline.Timeline.run_many` /
-    :meth:`~repro.platform.timeline.Timeline.overlap_many` /
-    :meth:`~repro.platform.timeline.Timeline.record_many` call instead
-    (see docs/PERFORMANCE.md).  The receiver is recognized by name
-    (``tl`` / ``timeline`` / ``*.timeline``); loops where a scalar call
-    is intentional (e.g. data-dependent placement that consumes the
-    cursor between appends) carry line suppressions saying why.
 ``ENG001``
     No swallowed broad exception handlers (``except Exception`` /
     ``except BaseException`` / bare ``except``) inside ``repro/engine``:
@@ -106,7 +94,6 @@ RULES: dict[str, str] = {
     "ARG001": "mutable default argument",
     "API001": "public name in a repro package __init__ missing from __all__",
     "PERF001": "scalar evaluate_ms probe inside a loop over a threshold grid",
-    "PERF002": "scalar Timeline run/overlap/record inside a loop in repro/hetero",
     "ENG001": "broad except in repro/engine that neither re-raises nor records",
     "SYN001": "file does not parse",
 }

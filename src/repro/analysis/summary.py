@@ -10,7 +10,7 @@ DET/PAR/UNIT-X rules over it (:mod:`repro.analysis.project`).
 A file is parsed once and one visitor fills its summary with:
 
 * the per-file lint findings (RNG001, RNG002, SIM001, UNIT001, FLT001,
-  ARG001, API001, PERF001, PERF002, ENG001), before suppression, or a
+  ARG001, API001, PERF001, ENG001), before suppression, or a
   lone SYN001 when the file does not parse;
 * the import table, module-level names, and classes with their methods;
 * a :class:`FunctionInfo` per top-level function or method: its call
@@ -48,13 +48,6 @@ FLT_SCOPES = ("repro/core", "repro/platform")
 #: that hold searches/oracles and the experiment drivers — the places a
 #: stray scalar loop silently forfeits the batched-pricing fast path.
 PERF_SCOPES = ("repro/core", "repro/experiments")
-
-#: Directories where scalar Timeline appends in loops are flagged
-#: (PERF002): the hetero kernels, whose pipelines record enough spans for
-#: per-chunk ``tl.run``/``tl.overlap`` loops to show up in profiles — the
-#: columnar batch APIs (``run_many``/``overlap_many``/``record_many``)
-#: are the sanctioned shape.
-PERF_TIMELINE_SCOPES = ("repro/hetero",)
 
 #: Directories where swallowed broad excepts are flagged (ENG001): the
 #: fault-tolerant execution layer, whose whole contract is that failures
@@ -182,14 +175,6 @@ _GRID_CALL_NAMES = {
     "np.linspace",
     "numpy.linspace",
 }
-
-#: Receiver names PERF002 treats as a Timeline: bare ``tl``/``timeline``
-#: or any ``*.timeline`` attribute.  Name-based on purpose — the linter
-#: is untyped, and these are the repo's only timeline spellings.
-_TIMELINE_RECEIVERS = frozenset({"tl", "timeline"})
-
-#: Scalar Timeline append methods with batch counterparts.
-_SCALAR_TIMELINE_METHODS = frozenset({"run", "overlap", "record"})
 
 #: Name tokens marking a call inside an exception handler as "recording
 #: the failure" for ENG001 (``record_failure``, ``warnings.warn``,
@@ -373,20 +358,6 @@ def _is_grid_iterable(node: ast.expr) -> bool:
     return False
 
 
-def _is_timeline_receiver(node: ast.expr) -> bool:
-    """Whether a call receiver syntactically names a Timeline (PERF002).
-
-    Matches the repo's timeline spellings — ``tl``, ``timeline``, or any
-    ``something.timeline`` attribute — and nothing else, so unrelated
-    ``problem.run(...)`` / ``pool.run(...)`` calls never trip the rule.
-    """
-    if isinstance(node, ast.Name):
-        return node.id in _TIMELINE_RECEIVERS
-    if isinstance(node, ast.Attribute):
-        return node.attr in _TIMELINE_RECEIVERS
-    return False
-
-
 def _is_broad_handler(type_node: ast.expr | None) -> bool:
     """Bare ``except`` or one naming Exception/BaseException."""
     if type_node is None:
@@ -491,7 +462,6 @@ class _Walker(ast.NodeVisitor):
         self.in_sim_scope = _in_scope(posix, SIM_SCOPES)
         self.in_flt_scope = _in_scope(posix, FLT_SCOPES)
         self.in_perf_scope = _in_scope(posix, PERF_SCOPES)
-        self.in_timeline_perf_scope = _in_scope(posix, PERF_TIMELINE_SCOPES)
         #: Dotted package name when this file is a repro package __init__
         #: (API001), else None.
         self.package = (
@@ -504,9 +474,6 @@ class _Walker(ast.NodeVisitor):
         #: How many enclosing for-loops/comprehensions iterate a grid
         #: (PERF001 fires on evaluate_ms calls while this is positive).
         self._grid_loop_depth = 0
-        #: How many enclosing loops of any kind surround the current node
-        #: (PERF002 fires on scalar timeline appends while this is positive).
-        self._plain_loop_depth = 0
         self._class_stack: list[str] = []
         #: The top-level function being walked; nested defs inline into it.
         self._fn: FunctionInfo | None = None
@@ -925,19 +892,6 @@ class _Walker(ast.NodeVisitor):
                     "price the whole grid in one pass via "
                     "repro.core.problem.evaluate_grid (docs/PERFORMANCE.md)",
                 )
-            if (
-                self._plain_loop_depth > 0
-                and self.in_timeline_perf_scope
-                and func.attr in _SCALAR_TIMELINE_METHODS
-                and _is_timeline_receiver(func.value)
-            ):
-                self._add(
-                    "PERF002",
-                    node,
-                    f"scalar Timeline.{func.attr} inside a loop; collect "
-                    f"the spans and make one {func.attr}_many call "
-                    "(docs/PERFORMANCE.md)",
-                )
         self.generic_visit(node)
 
     def _check_call(self, node: ast.Call, name: str, resolved: str) -> None:
@@ -1010,7 +964,7 @@ class _Walker(ast.NodeVisitor):
             self._environ_read(node)
         self.generic_visit(node)
 
-    # -- loops: unordered iteration (DET002), PERF001 / PERF002 -------------
+    # -- loops: unordered iteration (DET002), PERF001 -----------------------
 
     def _check_iteration(self, iter_node: ast.expr, where: ast.AST) -> None:
         """Record iteration in unstable order with a human-readable label."""
@@ -1039,18 +993,13 @@ class _Walker(ast.NodeVisitor):
 
     def _visit_loop(self, node: ast.AST, over_grid: bool) -> None:
         self._grid_loop_depth += over_grid
-        self._plain_loop_depth += 1
         self.generic_visit(node)
-        self._plain_loop_depth -= 1
         self._grid_loop_depth -= over_grid
 
     def visit_For(self, node: ast.For) -> None:
         self._bind(node.target)
         self._check_iteration(node.iter, node)
         self._visit_loop(node, self.in_perf_scope and _is_grid_iterable(node.iter))
-
-    def visit_While(self, node: ast.While) -> None:
-        self._visit_loop(node, False)
 
     def _visit_comprehension(self, node: ast.expr) -> None:
         for gen in node.generators:

@@ -87,13 +87,6 @@ def simulate_dynamic_spmm(
     dispatcher = 0.0
     cpu_chunks = 0
     gpu_chunks = 0
-    # The greedy placement is inherently sequential (each decision depends
-    # on the device-free times the previous one produced), but recording is
-    # not: placements accumulate here and land in one ``record_many``.
-    resources: list[str] = []
-    labels: list[str] = []
-    starts: list[float] = []
-    costs: list[float] = []
     for lo, hi, cpu_cost, gpu_cost in zip(
         bounds[:-1], bounds[1:], cpu_ms.tolist(), gpu_ms.tolist()
     ):
@@ -102,25 +95,15 @@ def simulate_dynamic_spmm(
         # neither can start before the dispatcher reaches the chunk.
         cpu_start = max(cpu_free, dispatcher)
         gpu_start = max(gpu_free, dispatcher)
+        label = f"chunk[{lo}:{hi}]"
         if cpu_start + cpu_cost <= gpu_start + gpu_cost:
-            resources.append("cpu")
-            starts.append(cpu_start)
-            costs.append(cpu_cost)
+            tl.record("cpu", label, cpu_start, cpu_cost)
             cpu_free = cpu_start + cpu_cost
             cpu_chunks += 1
         else:
-            resources.append("gpu")
-            starts.append(gpu_start)
-            costs.append(gpu_cost)
+            tl.record("gpu", label, gpu_start, gpu_cost)
             gpu_free = gpu_start + gpu_cost
             gpu_chunks += 1
-        labels.append(f"chunk[{lo}:{hi}]")
-    tl.record_many(
-        resources,
-        labels,
-        np.asarray(starts, dtype=np.float64),
-        np.asarray(costs, dtype=np.float64),
-    )
     return DynamicScheduleResult(
         chunk_rows=chunk_rows,
         total_ms=max(cpu_free, gpu_free),

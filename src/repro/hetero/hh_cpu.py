@@ -616,18 +616,17 @@ class HhCpuProblem:
             / effective_rate_per_ms(self.machine.cpu, PROFILE_ROW_GATHER)
             + self.machine.cpu.kernel_launch_us * 1e-3,
         )
-        # Phase II and Phase III, each overlapped CPU || GPU; one batched
-        # append covers both fork-join groups.
-        tl.overlap_many(
+        # Phase II, then Phase III, each overlapped CPU || GPU.
+        tl.overlap(
             [
-                [
-                    ("cpu", "phase2/AH-x-BH", self._cpu_chunked(s["cpu2"], s["rep_high"])),
-                    ("gpu", "phase2/AL-x-BL", self._gpu_warp(s["gpu2"], s["rep_low"])),
-                ],
-                [
-                    ("cpu", "phase3/AH-x-BL", self._cpu_chunked(s["cpu3"], s["rep_high"])),
-                    ("gpu", "phase3/AL-x-BH", self._gpu_warp(s["gpu3"], s["rep_low"])),
-                ],
+                ("cpu", "phase2/AH-x-BH", self._cpu_chunked(s["cpu2"], s["rep_high"])),
+                ("gpu", "phase2/AL-x-BL", self._gpu_warp(s["gpu2"], s["rep_low"])),
+            ]
+        )
+        tl.overlap(
+            [
+                ("cpu", "phase3/AH-x-BL", self._cpu_chunked(s["cpu3"], s["rep_high"])),
+                ("gpu", "phase3/AL-x-BH", self._gpu_warp(s["gpu3"], s["rep_low"])),
             ]
         )
         # Ship the GPU partials back, then combine on both devices.

@@ -486,7 +486,8 @@ class SpmmProblem:
         # on one shared link, overlapped on dedicated ones (a lone transfer
         # schedules the same either way).
         if cluster.interconnect.topology == "shared" and len(transfers) > 1:
-            tl.run_many(transfers)
+            for link_lane, link_label, d2h in transfers:
+                tl.run(link_lane, link_label, d2h)
         else:
             tl.overlap(transfers)
         return tl

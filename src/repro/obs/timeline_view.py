@@ -64,24 +64,22 @@ def utilization(timeline: Timeline) -> dict[str, ResourceUtilization]:
     Busy time is measured on merged intervals, so spans that overlap on one
     resource (a hazard, but one hand-built traces can contain) count each
     covered instant once — a resource can never exceed 100% utilization.
-    Works on the timeline's columnar view: no ``Span`` objects are built.
     """
-    makespan_ms = timeline.total_ms
-    cols = timeline.columns()
-    ends = cols.ends
-    out: dict[str, ResourceUtilization] = {}
-    for code, resource in enumerate(cols.resource_pool):
-        mask = cols.resources == code
-        n_spans = int(np.count_nonzero(mask))
-        if n_spans == 0:
-            continue
-        out[resource] = ResourceUtilization(
+    lanes: dict[str, list[Span]] = {}
+    for span in timeline.spans:
+        lanes.setdefault(span.resource, []).append(span)
+    return {
+        resource: ResourceUtilization(
             resource=resource,
-            busy_ms=_merged_busy_ms(cols.starts[mask], ends[mask]),
-            makespan_ms=makespan_ms,
-            n_spans=n_spans,
+            busy_ms=_merged_busy_ms(
+                np.array([s.start_ms for s in spans], dtype=np.float64),
+                np.array([s.end_ms for s in spans], dtype=np.float64),
+            ),
+            makespan_ms=timeline.total_ms,
+            n_spans=len(spans),
         )
-    return out
+        for resource, spans in lanes.items()
+    }
 
 
 def idle_spans(timeline: Timeline, resource: str) -> list[tuple[float, float]]:

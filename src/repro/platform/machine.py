@@ -42,29 +42,9 @@ class HeterogeneousMachine:
 
     # -- device times --------------------------------------------------------
 
-    def cpu_chunked_ms(
-        self, work: np.ndarray, profile: KernelProfile, threads: int | None = None
-    ) -> float:
-        """CPU time for contiguous-chunked parallel processing of *work*."""
-        return costmodel.cpu_chunked_time(work, self.cpu, profile, threads=threads)
-
-    def cpu_chunk_sums_ms(
-        self, chunk_sums: np.ndarray, profile: KernelProfile
-    ) -> float:
-        """CPU time from precomputed per-thread chunk work sums."""
-        return costmodel.cpu_time_from_chunk_sums(chunk_sums, self.cpu, profile)
-
     def cpu_sequential_ms(self, total_work: float, profile: KernelProfile) -> float:
         """Single-thread CPU time for *total_work* units."""
         return costmodel.cpu_sequential_time(total_work, self.cpu, profile)
-
-    def gpu_warp_ms(self, work: np.ndarray, profile: KernelProfile) -> float:
-        """GPU time for one-item-per-lane processing of *work* (divergence-aware)."""
-        return costmodel.gpu_warp_time(work, self.gpu, profile)
-
-    def gpu_row_warp_ms(self, work: np.ndarray, profile: KernelProfile) -> float:
-        """GPU time for one-item-per-warp processing (row-per-warp SpGEMM)."""
-        return costmodel.gpu_row_per_warp_time(work, self.gpu, profile)
 
     def gpu_iterative_ms(
         self, total_work_per_iteration: float, iterations: int, profile: KernelProfile
@@ -73,10 +53,6 @@ class HeterogeneousMachine:
         return costmodel.gpu_iterative_time(
             total_work_per_iteration, iterations, self.gpu, profile
         )
-
-    def dense_ms(self, flops: float, spec: DeviceSpec, profile: KernelProfile) -> float:
-        """Regular (variance-free) kernel time on an explicit device."""
-        return costmodel.dense_mm_time(flops, spec, profile)
 
     def transfer_ms(self, nbytes: float) -> float:
         """Host<->device transfer time for *nbytes* (one direction)."""

@@ -2,13 +2,23 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.hazards import HAZARDS, check_many, check_spans, check_timeline
+from repro.core.framework import SamplingPartitioner
+from repro.core.search import RaceCoarseSearch
 from repro.hetero.cc import CcProblem
+from repro.hetero.dense_mm import DenseMmProblem
 from repro.hetero.dynamic import simulate_dynamic_spmm
+from repro.hetero.dynamic_rebalance import DynamicRebalance
 from repro.hetero.hh_cpu import HhCpuProblem
+from repro.hetero.multiway_cc import MultiwayCcProblem
+from repro.hetero.multiway_spmm import MultiwaySpmmProblem
 from repro.hetero.spmm import SpmmProblem
+from repro.platform.cluster import cluster_testbed
 from repro.platform.timeline import Span, Timeline
 from repro.obs.timeline_view import validate_timeline
 from repro.util.errors import ValidationError
@@ -244,4 +254,141 @@ class TestProducedTimelinesAreClean:
     def test_dynamic_schedule_clean(self, machine):
         problem = SpmmProblem(random_sparse(80, 80, 0.08, seed=3), machine)
         result = simulate_dynamic_spmm(problem, chunk_rows=16)
+        assert check_timeline(result.timeline) == []
+
+    # -- generative: every produced timeline, batched = scalar ---------------
+
+    @staticmethod
+    def _assert_clean_and_priced(problem, threshold, rel=0.0):
+        """Hazard-clean timeline whose makespan the batch pricer reproduces."""
+        tl = problem.timeline(threshold)
+        assert check_timeline(tl) == []
+        batch = np.array([threshold], dtype=np.float64)
+        priced = float(problem.evaluate_many(batch)[0])
+        if rel:
+            assert priced == pytest.approx(tl.total_ms, rel=rel, abs=0.0)
+        else:
+            assert priced == tl.total_ms
+
+    @staticmethod
+    def _grid_points(grid, data):
+        """Both grid ends and one point strictly between two grid points."""
+        points = [float(grid[0]), float(grid[-1])]
+        if grid.size > 1:
+            i = data.draw(st.integers(0, grid.size - 2), label="gap")
+            frac = data.draw(st.floats(0.01, 0.99), label="frac")
+            points.append(float(grid[i] + frac * (grid[i + 1] - grid[i])))
+        return points
+
+    @pytest.mark.parametrize("kind", ["cc", "spmm", "hh"])
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(1, 40),
+        seed=st.integers(0, 2**16),
+        density=st.sampled_from([0.0, 0.05, 0.2]),
+        sampled=st.booleans(),
+        data=st.data(),
+    )
+    @example(n=1, seed=0, density=0.0, sampled=False, data=None)
+    def test_scalar_pipelines_clean_and_priced_alike(
+        self, machine, kind, n, seed, density, sampled, data
+    ):
+        if kind == "cc":
+            problem = CcProblem(
+                random_graph(n, int(density * n * n), seed), machine
+            )
+        elif kind == "spmm":
+            problem = SpmmProblem(random_sparse(n, n, density, seed), machine)
+        else:
+            problem = HhCpuProblem(random_sparse(n, n, density, seed), machine)
+        if sampled:
+            problem = problem.sample(max(1, n // 2), rng=seed)
+        grid = problem.threshold_grid()
+        points = (
+            self._grid_points(grid, data)
+            if data is not None
+            else [float(grid[0]), float(grid[-1])]
+        )
+        if kind == "hh":
+            points.append(float(grid[-1]) + 1.0)  # above the top density
+        rel = 1e-9 if kind == "hh" and sampled else 0.0
+        for t in points:
+            self._assert_clean_and_priced(problem, t, rel)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(n=st.integers(0, 64), data=st.data())
+    @example(n=0, data=None)
+    def test_dense_mm_clean_and_priced_alike(self, machine, n, data):
+        problem = DenseMmProblem(n, machine)
+        grid = problem.threshold_grid()
+        points = (
+            self._grid_points(grid, data)
+            if data is not None
+            else [float(grid[0]), float(grid[-1])]
+        )
+        for t in points:
+            self._assert_clean_and_priced(problem, t)
+
+    @pytest.mark.parametrize("kind", ["cc", "spmm"])
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(1, 40),
+        seed=st.integers(0, 2**16),
+        n_gpus=st.sampled_from([1, 2, 7]),
+        topology=st.sampled_from(["shared", "dedicated"]),
+        mixed=st.booleans(),
+        cuts=st.lists(
+            st.one_of(
+                st.sampled_from([0.0, 100.0]),
+                st.integers(0, 100).map(float),
+                st.floats(0.0, 100.0),
+            ),
+            min_size=7,
+            max_size=7,
+        ),
+        shape=st.sampled_from(["drawn", "repeated", "zeros", "full"]),
+    )
+    @example(
+        n=1, seed=0, n_gpus=7, topology="shared", mixed=True,
+        cuts=[50.0] * 7, shape="repeated",
+    )
+    def test_multiway_clean_and_priced_alike(
+        self, kind, n, seed, n_gpus, topology, mixed, cuts, shape
+    ):
+        cluster = cluster_testbed(
+            n_gpus=n_gpus, time_scale=1 / 16, topology=topology, mixed=mixed
+        )
+        if kind == "cc":
+            problem = MultiwayCcProblem(random_graph(n, 2 * n, seed), cluster)
+        else:
+            problem = MultiwaySpmmProblem(random_sparse(n, n, 0.1, seed), cluster)
+        vector = sorted(cuts[:n_gpus])
+        if shape == "repeated":  # zero-width ranges between equal cuts
+            vector = [vector[0]] * n_gpus
+        elif shape == "zeros":
+            vector = [0.0] * n_gpus
+        elif shape == "full":
+            vector = [100.0] * n_gpus
+        tl = problem.timeline(vector)
+        assert check_timeline(tl) == []
+        priced = problem.evaluate_many(np.array([vector], dtype=np.float64))
+        assert float(priced[0]) == tl.total_ms
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(1, 40),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    def test_dynamic_schedules_clean(self, machine, n, seed, data):
+        problem = SpmmProblem(random_sparse(n, n, 0.1, seed), machine)
+        chunk_rows = data.draw(st.integers(1, n), label="chunk_rows")
+        schedule = simulate_dynamic_spmm(problem, chunk_rows)
+        assert check_timeline(schedule.timeline) == []
+        rounds = data.draw(st.integers(1, 8), label="rounds")
+        result = DynamicRebalance(
+            SamplingPartitioner(RaceCoarseSearch(), rng=seed),
+            rounds=rounds,
+            steal=True,
+        ).run(problem)
         assert check_timeline(result.timeline) == []

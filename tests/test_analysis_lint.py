@@ -381,97 +381,6 @@ class TestPerf001:
         assert len(hits) == 2
 
 
-class TestPerf002:
-    """Scalar Timeline appends in hetero loops (docs/PERFORMANCE.md)."""
-
-    def test_run_in_for_loop_flagged(self):
-        src = (
-            "def pipeline(chunks, tl):\n"
-            "    for chunk in chunks:\n"
-            "        tl.run('cpu', chunk.label, chunk.cost_ms)\n"
-        )
-        findings = lint_source(src, "repro/hetero/foo.py")
-        assert codes(findings) == ["PERF002"]
-        assert findings[0].line == 3
-        assert "run_many" in findings[0].message
-
-    def test_overlap_in_while_loop_flagged(self):
-        src = (
-            "def pipeline(stages, tl):\n"
-            "    while stages:\n"
-            "        tl.overlap(stages.pop())\n"
-        )
-        findings = lint_source(src, "repro/hetero/foo.py")
-        assert codes(findings) == ["PERF002"]
-        assert "overlap_many" in findings[0].message
-
-    def test_record_in_comprehension_flagged(self):
-        src = (
-            "def replay(spans, timeline):\n"
-            "    [timeline.record(s.resource, s.label, s.start_ms, s.duration_ms)"
-            " for s in spans]\n"
-        )
-        assert codes(lint_source(src, "repro/hetero/foo.py")) == ["PERF002"]
-
-    def test_timeline_attribute_receiver_flagged(self):
-        src = (
-            "def pipeline(self, chunks):\n"
-            "    for chunk in chunks:\n"
-            "        self.timeline.run('gpu', chunk.label, chunk.cost_ms)\n"
-        )
-        assert codes(lint_source(src, "repro/hetero/foo.py")) == ["PERF002"]
-
-    def test_non_timeline_receiver_ok(self):
-        src = (
-            "def sweep(problems):\n"
-            "    for p in problems:\n"
-            "        p.run(50.0)\n"
-        )
-        assert lint_source(src, "repro/hetero/foo.py") == []
-
-    def test_scalar_call_outside_loop_ok(self):
-        src = (
-            "def phase(tl, cost_ms):\n"
-            "    tl.run('pcie', 'h2d', cost_ms)\n"
-        )
-        assert lint_source(src, "repro/hetero/foo.py") == []
-
-    def test_batch_call_in_loop_ok(self):
-        src = (
-            "def pipeline(groups, tl):\n"
-            "    for group in groups:\n"
-            "        tl.run_many(group)\n"
-        )
-        assert lint_source(src, "repro/hetero/foo.py") == []
-
-    def test_out_of_scope_not_flagged(self):
-        src = (
-            "def view(spans, tl):\n"
-            "    for s in spans:\n"
-            "        tl.run(s.resource, s.label, s.duration_ms)\n"
-        )
-        assert lint_source(src, "repro/obs/foo.py") == []
-
-    def test_line_suppression_honored(self):
-        src = (
-            "def place(chunks, tl):\n"
-            "    for chunk in chunks:\n"
-            "        tl.run('cpu', chunk.label, chunk.cost_ms)  "
-            "# reprolint: disable=PERF002 -- placement consumes the cursor\n"
-        )
-        assert lint_source(src, "repro/hetero/foo.py") == []
-
-    def test_shipped_hetero_tree_is_clean(self):
-        # The hetero kernels were migrated to the batch APIs; no shipped
-        # loop should need a PERF002 suppression today.
-        findings = [
-            f
-            for f in lint_paths([SRC_ROOT / "hetero"])
-            if f.code == "PERF002"
-        ]
-        assert findings == []
-
-
 class TestEng001:
     """Broad except in engine code must surface the failure (docs/ANALYSIS.md)."""
 

@@ -2,7 +2,7 @@
 
 The load-bearing contract is the rounds=1 anchor: ``DynamicRebalance``
 with one round must be *bit-identical* to the static sampled strategy
-(same estimate, same single timeline, column for column).  Everything
+(same estimate, same single timeline, span for span).  Everything
 else — the hindsight update beating a fixed cutoff under drift, the
 work-stealing drain — layers on top of that anchor.  ``TestRoundsProperties``
 checks the anchor and the rounds contracts generatively on small random
@@ -61,14 +61,8 @@ def clamped_estimate(problem, partitioner):
 
 
 def assert_timelines_identical(actual, expected):
-    """Column-for-column equality — the bit-identity assertion."""
-    ca, ce = actual.columns(), expected.columns()
-    np.testing.assert_array_equal(ca.starts, ce.starts)
-    np.testing.assert_array_equal(ca.durations, ce.durations)
-    assert actual.labels() == expected.labels()
-    assert [ca.resource_pool[c] for c in ca.resources] == [
-        ce.resource_pool[c] for c in ce.resources
-    ]
+    """Span-for-span exact equality — the bit-identity assertion."""
+    assert actual.spans == expected.spans
     assert actual.total_ms == expected.total_ms
 
 

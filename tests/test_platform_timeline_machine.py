@@ -7,8 +7,34 @@ from repro.platform.costmodel import PROFILE_SPGEMM
 from repro.platform.device import cpu_xeon_e5_2650_dual, gpu_tesla_k40c
 from repro.platform.machine import HeterogeneousMachine, paper_testbed
 from repro.platform.pcie import PcieLink, pcie_gen3_x16
-from repro.platform.timeline import Span, Timeline, merge_parallel
+from repro.platform.timeline import Span, SpanQueue, Timeline
 from repro.util.errors import ValidationError
+
+TASKS = [
+    ("cpu", "phase1/estimate", 3.25),
+    ("gpu", "phase2/spgemm", 7.5),
+    ("cpu", "phase1/estimate", 0.125),  # repeated resource and label
+    ("pcie", "h2d", 1.1000000000000001),  # not exactly representable
+    ("gpu", "phase3/merge", 0.0),  # zero-duration span is legal
+]
+
+
+def _run_all(tl: Timeline, tasks) -> None:
+    for resource, label, duration_ms in tasks:
+        tl.run(resource, label, duration_ms)
+
+
+def _spans_equal(a: list[Span], b: list[Span]) -> bool:
+    # Bit-level, not approx: compare the float fields via their bit patterns.
+    if len(a) != len(b):
+        return False
+    return all(
+        x.resource == y.resource
+        and x.label == y.label
+        and np.float64(x.start_ms).tobytes() == np.float64(y.start_ms).tobytes()
+        and np.float64(x.duration_ms).tobytes() == np.float64(y.duration_ms).tobytes()
+        for x, y in zip(a, b)
+    )
 
 
 class TestPcie:
@@ -63,13 +89,6 @@ class TestTimeline:
         assert tl.busy_ms("gpu") == pytest.approx(5.0)
         assert tl.busy_ms("pcie") == 0.0
 
-    def test_labelled_ms_phase_extent(self):
-        tl = Timeline()
-        tl.run("cpu", "phase1/x", 1.0)
-        tl.overlap([("cpu", "phase2/a", 2.0), ("gpu", "phase2/b", 4.0)])
-        assert tl.labelled_ms("phase2") == pytest.approx(4.0)
-        assert tl.labelled_ms("phase9") == 0.0
-
     def test_extend_offsets_spans(self):
         inner = Timeline()
         inner.run("gpu", "k", 2.0)
@@ -87,12 +106,52 @@ class TestTimeline:
     def test_span_end(self):
         assert Span("cpu", "x", 1.0, 2.0).end_ms == 3.0
 
-    def test_merge_parallel(self):
-        t1, t2 = Timeline(), Timeline()
-        t1.run("cpu", "a", 2.0)
-        t2.run("gpu", "b", 5.0)
-        assert merge_parallel([t1, t2]) == 5.0
-        assert merge_parallel([]) == 0.0
+    def test_spans_snapshot_ignores_later_appends(self):
+        tl = Timeline()
+        tl.run("cpu", "a", 1.0)
+        first = tl.spans
+        tl.run("gpu", "b", 2.0)
+        assert [s.label for s in first] == ["a"]
+        assert [s.label for s in tl.spans] == ["a", "b"]
+
+    def test_spans_hold_plain_floats(self):
+        # The clock turns into an np.float64 after a numpy duration; the
+        # recorded spans still hand back Python floats.
+        tl = Timeline()
+        tl.run("cpu", "a", np.float64(1.5))
+        tl.overlap([("gpu", "b", np.float64(2.0))])
+        tl.record("pcie", "c", np.float64(0.5), np.float64(0.25))
+        for span in tl.spans:
+            assert type(span.start_ms) is float
+            assert type(span.duration_ms) is float
+
+    def test_busy_and_labels_match_span_arithmetic(self):
+        tl = Timeline()
+        _run_all(tl, TASKS)
+        tl.overlap([("cpu", "phase2/x", 2.0), ("gpu", "phase2/y", 3.0)])
+        for resource in ("cpu", "gpu", "pcie", "never-used"):
+            expected = sum(
+                s.duration_ms for s in tl.spans if s.resource == resource
+            )
+            assert tl.busy_ms(resource) == pytest.approx(expected)
+        assert tl.labels() == [s.label for s in tl.spans]
+
+
+class TestExtend:
+    def test_matches_scalar_splice(self):
+        sub = Timeline()
+        _run_all(sub, TASKS)
+        vec, ref = Timeline(), Timeline()
+        for tl in (vec, ref):
+            tl.run("cpu", "outer", 2.0)
+        vec.extend(sub, prefix="sub/")
+        for span in sub.spans:
+            ref.record(span.resource, "sub/" + span.label, 2.0 + span.start_ms, span.duration_ms)
+        # extend advances by sub.total_ms even when the last span is not
+        # the latest end; replicate that on the reference.
+        ref._cursor = 2.0 + sub.total_ms
+        assert _spans_equal(vec.spans, ref.spans)
+        assert vec.total_ms == ref.total_ms
 
 
 class TestMachine:
@@ -131,8 +190,79 @@ class TestMachine:
 
     def test_device_time_helpers_consistent_with_costmodel(self):
         m = paper_testbed()
-        work = np.full(64, 100.0)
-        assert m.gpu_row_warp_ms(work, PROFILE_SPGEMM) > 0
-        assert m.cpu_chunked_ms(work, PROFILE_SPGEMM) > 0
         assert m.cpu_sequential_ms(10.0, PROFILE_SPGEMM) > 0
         assert m.transfer_ms(1e6) > 0
+
+
+class TestSpanQueue:
+    def test_push_many_requires_own_resource(self):
+        q = SpanQueue("cpu")
+        with pytest.raises(ValueError):
+            q.push_many(["a"], {"gpu": [1.0]})
+
+    def test_push_many_validates_shapes_and_signs(self):
+        q = SpanQueue("cpu")
+        with pytest.raises(ValueError):
+            q.push_many(["a", "b"], {"cpu": [1.0]})
+        with pytest.raises(ValueError):
+            q.push_many(["a"], {"cpu": [-1.0]})
+
+
+class TestStealRemaining:
+    @staticmethod
+    def _queue(resource, labels, costs):
+        q = SpanQueue(resource)
+        q.push_many(labels, costs)
+        return q
+
+    def test_idle_device_claims_laggard_tail(self):
+        tl = Timeline()
+        cpu = self._queue("cpu", ["c0"], {"cpu": [1.0], "gpu": [1.0]})
+        gpu = self._queue(
+            "gpu",
+            ["g0", "g1", "g2", "g3"],
+            {"cpu": [2.0] * 4, "gpu": [2.0] * 4},
+        )
+        report = tl.steal_remaining([cpu, gpu])
+        assert report.total_stolen > 0
+        assert report.stolen["cpu"] == report.total_stolen
+        # Every migration is a (victim, thief, label) triple.
+        assert all(v == "gpu" and t == "cpu" for v, t, _ in report.moved)
+        # Stealing shrank the round below the no-steal makespan.
+        assert report.makespan_ms < 8.0
+        assert any(label.endswith("|stolen") for label in tl.labels())
+
+    def test_balanced_queues_steal_nothing(self):
+        tl = Timeline()
+        cpu = self._queue("cpu", ["c0"], {"cpu": [2.0], "gpu": [2.0]})
+        gpu = self._queue("gpu", ["g0"], {"cpu": [2.0], "gpu": [2.0]})
+        report = tl.steal_remaining([cpu, gpu])
+        assert report.total_stolen == 0
+        assert report.makespan_ms == 2.0
+
+    def test_last_item_never_stolen(self):
+        tl = Timeline()
+        cpu = self._queue("cpu", [], {"cpu": []})
+        gpu = self._queue("gpu", ["g0"], {"cpu": [0.1], "gpu": [10.0]})
+        report = tl.steal_remaining([cpu, gpu])
+        assert report.total_stolen == 0  # the laggard's only item is running
+
+    def test_duplicate_resource_rejected(self):
+        tl = Timeline()
+        with pytest.raises(ValueError):
+            tl.steal_remaining(
+                [
+                    self._queue("cpu", [], {"cpu": []}),
+                    self._queue("cpu", [], {"cpu": []}),
+                ]
+            )
+
+    def test_round_starts_at_cursor_and_joins_clock(self):
+        tl = Timeline()
+        tl.record("cpu", "warmup", 0.0, 5.0)
+        report = tl.steal_remaining(
+            [self._queue("gpu", ["g0"], {"gpu": [2.0]})]
+        )
+        assert report.start_ms == 5.0
+        assert report.finish_ms["gpu"] == 7.0
+        assert tl.total_ms == 7.0

@@ -42,6 +42,13 @@ class TestUtilization:
     def test_empty_timeline(self):
         assert utilization(Timeline()) == {}
 
+    def test_zero_makespan_is_zero_not_nan(self):
+        tl = Timeline()
+        tl.record("cpu", "noop", 0.0, 0.0)
+        u = utilization(tl)["cpu"]
+        assert u.busy_ms == 0.0 and u.makespan_ms == 0.0
+        assert u.busy_fraction == 0.0 and not np.isnan(u.busy_fraction)
+
     def test_overlapping_spans_not_double_counted(self):
         # Regression: busy time is measured on merged intervals, so a
         # hand-built trace with self-overlap cannot exceed 100% utilization.

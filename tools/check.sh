@@ -6,9 +6,10 @@
 # own test suites, the API surface snapshot (docs/API.md vs the live
 # surface), the engine test suite, the chaos suite, a cross-process warm
 # replay of table1, a cross-process serial-vs-pooled replay of fig4, fig9,
-# table1 and ext-cluster, the cluster experiments, the dynamic
-# re-balancing experiments (ext-dynamic and ablation-dynamic), every
-# example, then the full tier-1 test suite.
+# table1 and ext-cluster, a trace-validated cold run of the seven
+# experiments that honour --validate-traces, the cluster experiments, the
+# dynamic re-balancing experiments (ext-dynamic and ablation-dynamic),
+# every example, then the full tier-1 test suite.
 # Run from the repository root:
 #
 #     tools/check.sh            # lint + project analysis + tests
@@ -76,6 +77,16 @@ done
 test ! -s "$warm_tmp/pooled2.err"
 diff <(grep -v -e "regenerated in" -e "engine summary" "$warm_tmp/pooled1.txt") \
      <(grep -v -e "regenerated in" -e "engine summary" "$warm_tmp/pooled2.txt")
+
+echo
+echo "== trace validation (exit 0, empty stderr) =="
+python -m repro.experiments --no-cache --scale 0.015625 \
+    --validate-traces fig3 fig4 fig5 fig6 fig8 fig9 table1 \
+    > /dev/null 2> "$warm_tmp/validate.err"
+if [[ -s "$warm_tmp/validate.err" ]]; then
+    cat "$warm_tmp/validate.err" >&2
+    exit 1
+fi
 
 echo
 echo "== cluster experiments (docs/CLUSTER.md) =="
