@@ -269,7 +269,8 @@ class ProjectGraph:
 
         Every ``.map`` / ``.submit`` / ``.cached_map`` registration of a
         named function counts: the engine sends every unit of a cached map
-        through its worker pool.
+        through its worker pool.  So does the task handed to a runner
+        helper (``TASK_HELPERS``), which forwards it to ``cached_map``.
         """
         roots: dict[str, str] = {}
         for fid, (summary, info) in self.functions.items():
@@ -279,7 +280,7 @@ class ProjectGraph:
                 for target, _ in self.resolve(summary, info.qualname, reg["fn"]):
                     roots.setdefault(
                         target,
-                        f"passed to .{reg['api']}() in {short_id(fid)} "
+                        f"passed to {reg['api']}() in {short_id(fid)} "
                         f"(line {reg['line']})",
                     )
         return dict(sorted(roots.items()))

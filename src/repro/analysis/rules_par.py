@@ -16,7 +16,8 @@ source patterns silently break it:
     cross-module attribute assignment through an import.
 ``PAR002``
     A lambda or local closure shipped to the pool (``.map`` /
-    ``.submit`` / ``.cached_map``).  Lambdas don't pickle under the
+    ``.submit`` / ``.cached_map``, or a ``TASK_HELPERS`` helper such as
+    the experiment runner's ``units``).  Lambdas don't pickle under the
     default start method, and closures capture ambient state whose
     worker-side copy diverges from the parent.  Every ``cached_map``
     registration counts: the engine sends each unit through its pool.
@@ -65,7 +66,7 @@ def check_par(graph: ProjectGraph) -> list[Finding]:
                     Finding(
                         code="PAR002",
                         message=(
-                            f"lambda passed to .{reg['api']}() in "
+                            f"lambda passed to {reg['api']}() in "
                             f"{short_id(fid)}; lambdas don't pickle and "
                             "capture ambient state — pass a module-level "
                             "function"
@@ -96,7 +97,7 @@ def check_par(graph: ProjectGraph) -> list[Finding]:
                         code="PAR002",
                         message=(
                             f"local closure '{fn}' passed to "
-                            f".{reg['api']}() in {short_id(fid)}; closures "
+                            f"{reg['api']}() in {short_id(fid)}; closures "
                             "capture ambient state whose worker-side copy "
                             "diverges — pass a module-level function"
                         ),

@@ -153,6 +153,11 @@ MUTATING_METHODS = {
 #: attribute calls count (``pool.map``), never the ``map`` builtin.
 TASK_APIS = {"map", "submit", "cached_map"}
 
+#: Runner-style helpers that hand one argument to ``cached_map``: helper
+#: name -> the task's position (a ``task=`` keyword counts too).  The
+#: experiment runner's ``units(config, task, keys, build)`` is one.
+TASK_HELPERS = {"units": 1}
+
 #: Iterable-producing calls whose order is filesystem/hash dependent.
 _UNORDERED_CALLS = {"os.listdir", "os.scandir"}
 _UNORDERED_METHODS = {"iterdir", "glob", "rglob"}
@@ -877,9 +882,14 @@ class _Walker(ast.NodeVisitor):
                     }
                 )
             fn.calls.append((name, node))
+        position = TASK_HELPERS.get((name or "").rsplit(".", 1)[-1])
+        if position is not None:
+            task = [kw.value for kw in node.keywords if kw.arg == "task"]
+            for target in task or node.args[position : position + 1]:
+                self._record_task(node, name, target, fn)
         if isinstance(func, ast.Attribute):
             if func.attr in TASK_APIS and node.args:
-                self._record_task(node, func, fn)
+                self._record_task(node, f".{func.attr}", node.args[0], fn)
             if func.attr in MUTATING_METHODS and not self._at_module_level():
                 base = _dotted(func.value)
                 if base is not None and base.split(".")[0] in self.s.module_vars:
@@ -922,12 +932,14 @@ class _Walker(ast.NodeVisitor):
                     "simulated clock is repro.platform.timeline.Timeline",
                 )
 
-    def _record_task(self, node: ast.Call, func: ast.Attribute, fn: FunctionInfo) -> None:
-        target = node.args[0]
+    def _record_task(
+        self, node: ast.Call, api: str, target: ast.expr, fn: FunctionInfo
+    ) -> None:
+        """One pool registration; *api* is the call as written
+        (``.cached_map`` on a receiver, ``units`` for a helper)."""
         fn.task_regs.append(
             {
-                "api": func.attr,
-                "receiver": _dotted(func.value),
+                "api": api,
                 "fn": _dotted(target),
                 "is_lambda": isinstance(target, ast.Lambda),
                 "line": node.lineno,

@@ -146,10 +146,6 @@ class OfflineBestFitExtrapolator(Extrapolator):
         self._law: _Law = _CANDIDATE_LAWS[0]
         self._fitted = False
 
-    @property
-    def fitted_law(self) -> str:
-        return self._law.name
-
     def fit(
         self, training: Sequence[tuple[float, float, dict]]
     ) -> str:

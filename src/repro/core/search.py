@@ -347,7 +347,7 @@ class GradientDescentSearch(SearchStrategy):
             current = probe(t)
             while step >= resolution and len(log) < self.max_evaluations:
                 left, right = snap(t - step), snap(t + step)
-                candidates = [(probe(x), x) for x in {left, right} if x != t]
+                candidates = [(probe(x), x) for x in {left, right} if x != t]  # reprolint: disable=DET002 -- two floats: float hashes ignore PYTHONHASHSEED, so the probe order is fixed
                 if candidates and min(candidates)[0] < current:
                     current, t = min(candidates)
                 else:

@@ -20,54 +20,30 @@ Per dataset, the threshold is estimated three ways:
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.framework import SamplingPartitioner
-from repro.core.oracle import exhaustive_oracle
 from repro.core.search import CoarseToFineSearch
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.report import ExperimentReport, ReportTable
-from repro.hetero.cc import CcProblem
+from repro.experiments.runner import sampler_ablation
 from repro.util.rng import stable_seed
 
 DEFAULT_DATASETS = ["cant", "web-BerkStan", "germany_osm", "delaunay_n22"]
 METHODS = ("uniform", "importance", "literal")
 
 
+def _partitioner(config: ExperimentConfig, name: str, method: str) -> SamplingPartitioner:
+    return SamplingPartitioner(
+        CoarseToFineSearch(), rng=stable_seed(config.seed, "ablA", name, method)
+    )
+
+
 def run(config: ExperimentConfig | None = None) -> ExperimentReport:
     config = config or ExperimentConfig()
     names = config.select(DEFAULT_DATASETS) or DEFAULT_DATASETS
-    rows = []
-    metrics = {}
-    for name in names:
-        dataset = config.dataset(name)
-        graph = dataset.as_graph()
-        machine = config.machine()
-        oracle = None
-        row = [name]
-        slowdowns = {}
-        for method in METHODS:
-            problem = CcProblem(graph, machine, name=name, sampling_method=method)
-            if oracle is None:
-                oracle = exhaustive_oracle(problem)
-            partitioner = SamplingPartitioner(
-                CoarseToFineSearch(),
-                rng=stable_seed(config.seed, "ablA", name, method),
-            )
-            estimate = partitioner.estimate(problem)
-            est_time = problem.evaluate_ms(estimate.threshold)
-            slowdown = 100.0 * max(0.0, est_time / oracle.best_time_ms - 1.0)
-            slowdowns[method] = slowdown
-            row.extend([estimate.threshold, slowdown])
-        rows.append((row[0], oracle.threshold, *row[1:]))
-        for method in METHODS:
-            metrics[f"{name}_{method}_slowdown"] = slowdowns[method]
-
-    avg = {
-        m: float(np.mean([metrics[f"{n}_{m}_slowdown"] for n in names]))
-        for m in METHODS
-    }
-    metrics.update({f"avg_{m}_slowdown": v for m, v in avg.items()})
+    rows, metrics = sampler_ablation(
+        config, "ablation-cc-sampling", "cc", names, METHODS, _partitioner
+    )
+    avg = {m: metrics[f"avg_{m}_slowdown"] for m in METHODS}
 
     return ExperimentReport(
         exp_id="ablation-cc-sampling",

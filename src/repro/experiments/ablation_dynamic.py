@@ -28,41 +28,59 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.oracle import exhaustive_oracle
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.report import ExperimentReport, ReportTable
-from repro.experiments.runner import spmm_partitioner, spmm_problem
+from repro.experiments.runner import (
+    study_oracles,
+    study_partitioner,
+    study_problems,
+    unit_key,
+    units,
+)
 from repro.hetero.dynamic import best_dynamic_schedule, simulate_dynamic_spmm
 
 DEFAULT_DATASETS = ["cant", "pwtk", "web-BerkStan", "asia_osm"]
 
 
+def _dynamic_task(args) -> dict:
+    """One dataset: the sampled static split vs fine and best-chunk queues."""
+    problem, partitioner = args
+    threshold = partitioner.estimate(problem).threshold
+    fine = simulate_dynamic_spmm(problem, max(1, problem.a.n_rows // 2000))
+    best = best_dynamic_schedule(problem)
+    return {
+        "threshold": threshold,
+        "static_ms": problem.evaluate_ms(threshold),
+        "dynamic_fine_ms": fine.total_ms,
+        "dynamic_best_ms": best.total_ms,
+        "chunk_rows": best.chunk_rows,
+        "cpu_share": best.cpu_share_percent,
+    }
+
+
 def run(config: ExperimentConfig | None = None) -> ExperimentReport:
     config = config or ExperimentConfig()
     names = config.select(DEFAULT_DATASETS) or DEFAULT_DATASETS
+    problem = study_problems(config, "spmm")
+    oracles = study_oracles(config, "spmm", names, problem)
+    results = units(
+        config,
+        _dynamic_task,
+        [
+            unit_key("dynamic-ablation", config, "scale", "seed", "repeats", dataset=name)
+            for name in names
+        ],
+        lambda i: (problem(names[i]), study_partitioner(config, "spmm", names[i])),
+        schedules=lambda r: [r["threshold"]],
+    )
     rows = []
     metrics = {}
-    for name in names:
-        problem = spmm_problem(config, name)
-        oracle = exhaustive_oracle(problem)
-        estimate = spmm_partitioner(config, name).estimate(problem)
-        static_ms = problem.evaluate_ms(estimate.threshold)
-        fine = simulate_dynamic_spmm(problem, max(1, problem.a.n_rows // 2000))
-        best = best_dynamic_schedule(problem)
+    times = ("static_ms", "dynamic_fine_ms", "dynamic_best_ms")
+    for name, oracle, r in zip(names, oracles, results):
         rows.append(
-            (
-                name,
-                oracle.best_time_ms,
-                static_ms,
-                fine.total_ms,
-                best.total_ms,
-                best.chunk_rows,
-                best.cpu_share_percent,
-            )
+            (name, oracle.best_time_ms, *(r[t] for t in times), r["chunk_rows"], r["cpu_share"])
         )
-        metrics[f"{name}_static_ms"] = static_ms
-        metrics[f"{name}_dynamic_fine_ms"] = fine.total_ms
-        metrics[f"{name}_dynamic_best_ms"] = best.total_ms
+        metrics.update({f"{name}_{t}": r[t] for t in times})
 
     fine_vs_static = float(
         np.mean(

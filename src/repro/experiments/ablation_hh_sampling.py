@@ -18,8 +18,6 @@ reproduction defaults to the full-column-space row sample
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.extrapolate import (
     Extrapolator,
     IdentityExtrapolator,
@@ -27,11 +25,10 @@ from repro.core.extrapolate import (
     ScaleExtrapolator,
 )
 from repro.core.framework import SamplingPartitioner
-from repro.core.oracle import exhaustive_oracle
 from repro.core.search import GradientDescentSearch
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.report import ExperimentReport, ReportTable
-from repro.hetero.hh_cpu import HhCpuProblem
+from repro.experiments.runner import sampler_ablation
 from repro.util.rng import stable_seed
 
 DEFAULT_DATASETS = ["cant", "cop20k_A", "web-BerkStan", "pwtk"]
@@ -51,40 +48,27 @@ def _extrapolator(method: str) -> Extrapolator:
     return METHODS[method]()
 
 
+def _partitioner(config: ExperimentConfig, name: str, method: str) -> SamplingPartitioner:
+    return SamplingPartitioner(
+        GradientDescentSearch(),
+        extrapolator=_extrapolator(method),
+        rng=stable_seed(config.seed, "ablB", name, method),
+    )
+
+
 def run(config: ExperimentConfig | None = None) -> ExperimentReport:
     config = config or ExperimentConfig()
     names = config.select(DEFAULT_DATASETS) or DEFAULT_DATASETS
-    rows = []
-    metrics = {}
-    for name in names:
-        dataset = config.dataset(name)
-        machine = config.machine()
-        oracle = None
-        row = [name]
-        for method in METHODS:
-            problem = HhCpuProblem(
-                dataset.matrix, machine, name=name, sampling_method=method
-            )
-            if oracle is None:
-                oracle = exhaustive_oracle(problem)
-            partitioner = SamplingPartitioner(
-                GradientDescentSearch(),
-                extrapolator=_extrapolator(method),
-                rng=stable_seed(config.seed, "ablB", name, method),
-            )
-            estimate = partitioner.estimate(problem)
-            threshold = min(max(estimate.threshold, 0.0), problem.gpu_only_threshold())
-            est_time = problem.evaluate_ms(threshold)
-            slowdown = 100.0 * max(0.0, est_time / oracle.best_time_ms - 1.0)
-            metrics[f"{name}_{method}_slowdown"] = slowdown
-            row.extend([threshold, slowdown])
-        rows.append((row[0], oracle.threshold, *row[1:]))
-
-    avg = {
-        m: float(np.mean([metrics[f"{n}_{m}_slowdown"] for n in names]))
-        for m in METHODS
-    }
-    metrics.update({f"avg_{m}_slowdown": v for m, v in avg.items()})
+    rows, metrics = sampler_ablation(
+        config,
+        "ablation-hh-sampling",
+        "hh",
+        names,
+        list(METHODS),
+        _partitioner,
+        clamp=True,
+    )
+    avg = {m: metrics[f"avg_{m}_slowdown"] for m in METHODS}
 
     headers = ["dataset", "oracle t"]
     for m in METHODS:

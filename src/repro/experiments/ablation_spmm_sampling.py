@@ -13,51 +13,30 @@ study compares it against two row samplers that keep rows intact:
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.framework import SamplingPartitioner
-from repro.core.oracle import exhaustive_oracle
 from repro.core.search import RaceCoarseSearch
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.report import ExperimentReport, ReportTable
-from repro.hetero.spmm import SpmmProblem
+from repro.experiments.runner import sampler_ablation
 from repro.util.rng import stable_seed
 
 DEFAULT_DATASETS = ["cant", "delaunay_n22", "webbase-1M", "asia_osm"]
 METHODS = ("principal", "rows", "importance")
 
 
+def _partitioner(config: ExperimentConfig, name: str, method: str) -> SamplingPartitioner:
+    return SamplingPartitioner(
+        RaceCoarseSearch(), rng=stable_seed(config.seed, "ablD", name, method)
+    )
+
+
 def run(config: ExperimentConfig | None = None) -> ExperimentReport:
     config = config or ExperimentConfig()
     names = config.select(DEFAULT_DATASETS) or DEFAULT_DATASETS
-    rows = []
-    metrics = {}
-    for name in names:
-        dataset = config.dataset(name)
-        machine = config.machine()
-        oracle = None
-        row = [name]
-        for method in METHODS:
-            problem = SpmmProblem(
-                dataset.matrix, machine, name=name, sampling_method=method
-            )
-            if oracle is None:
-                oracle = exhaustive_oracle(problem)
-            estimate = SamplingPartitioner(
-                RaceCoarseSearch(),
-                rng=stable_seed(config.seed, "ablD", name, method),
-            ).estimate(problem)
-            est_ms = problem.evaluate_ms(estimate.threshold)
-            slowdown = 100.0 * max(0.0, est_ms / oracle.best_time_ms - 1.0)
-            metrics[f"{name}_{method}_slowdown"] = slowdown
-            row.extend([estimate.threshold, slowdown])
-        rows.append((row[0], oracle.threshold, *row[1:]))
-
-    avg = {
-        m: float(np.mean([metrics[f"{n}_{m}_slowdown"] for n in names]))
-        for m in METHODS
-    }
-    metrics.update({f"avg_{m}_slowdown": v for m, v in avg.items()})
+    rows, metrics = sampler_ablation(
+        config, "ablation-spmm-sampling", "spmm", names, METHODS, _partitioner
+    )
+    avg = {m: metrics[f"avg_{m}_slowdown"] for m in METHODS}
 
     headers = ["dataset", "oracle r"]
     for m in METHODS:

@@ -44,10 +44,12 @@ class ExperimentConfig:
     repeats:
         Sampling repetitions averaged inside each estimate.
     validate_traces:
-        Opt-in correctness pass: hazard-check the simulated timelines at
-        every threshold a study reports (see
-        :func:`repro.obs.validate_timeline`).  Off by default —
-        the checks are O(spans log spans) per evaluated threshold.
+        Opt-in correctness pass: hazard-check the simulated timeline at
+        every threshold an experiment reports (see
+        :func:`repro.obs.validate_timeline`); every experiment but
+        ``table2``, which reports no schedule, checks at least one, and
+        a warm run rebuilds the problems it checks.  Off by default —
+        the checks are O(spans log spans) per reported threshold.
     workers:
         Parallel fan-out width for the execution engine: ``1`` (default)
         runs serially in-process, ``N > 1`` uses a process pool.  Results

@@ -18,26 +18,25 @@ generations).  Per (dataset, p), for CC and spmm:
   load balancers report — plus the speedup over the p = 2 pair.  Only
   the schedule is simulated; the partitioned kernels are not executed.
 
-The oracle and tune passes run through the engine's cached map and fan
-out across their (dataset, p) units; their cache keys embed
+The oracle and tune passes run as units of the experiment runner and
+fan out across their (dataset, p) units.  Their cache keys embed
 :meth:`ClusterSpec.cache_fields`, so two clusters differing only in
-device count or interconnect can never share a record.
+device count or interconnect can never share a record, and they are
+formed without building a problem.  The tune record carries the tuned
+timeline's imbalance and the NaiveStatic time, so a warm run simulates
+nothing.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from repro.core.cut_vector import (
-    ClusterTuneResult,
-    CutVectorResult,
-    cluster_oracle,
-    tune_cluster,
-)
+from repro.core.cut_vector import CutVectorResult, cluster_oracle, tune_cluster
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.report import ExperimentReport, ReportTable
-from repro.hetero.multiway_cc import MultiwayCcProblem
-from repro.hetero.multiway_spmm import MultiwaySpmmProblem
+from repro.experiments.runner import study_problem, unit_key, units
 from repro.platform.cluster import ClusterSpec, cluster_testbed, imbalance
 from repro.util.rng import stable_seed
 
@@ -55,29 +54,6 @@ def _cluster_for(config: ExperimentConfig, p: int) -> ClusterSpec:
     )
 
 
-def _oracle_key(config: ExperimentConfig, problem) -> dict:
-    """Cache key of one cluster-oracle record (cluster shape included)."""
-    return {
-        "kind": "cluster-oracle",
-        "scale": config.scale,
-        "dataset": problem.name,
-        "problem": type(problem).__name__,
-        **problem.cluster.cache_fields(),
-    }
-
-
-def _tune_key(config: ExperimentConfig, problem) -> dict:
-    """Cache key of one sampled-tune record (seeded, cluster included)."""
-    return {
-        "kind": "cluster-tune",
-        "scale": config.scale,
-        "seed": config.seed,
-        "dataset": problem.name,
-        "problem": type(problem).__name__,
-        **problem.cluster.cache_fields(),
-    }
-
-
 def _device_imbalance(problem, timeline) -> float:
     """max/mean − 1 over the compute devices' busy times on *timeline*."""
     busy = [timeline.busy_ms("cpu")]
@@ -85,86 +61,87 @@ def _device_imbalance(problem, timeline) -> float:
     return imbalance(busy)
 
 
-def _tune_task(args: tuple) -> ClusterTuneResult:
-    """One sampled tune: a (problem, seed) unit of the tune pass."""
+def _tune_task(args: tuple) -> dict:
+    """One sampled tune, with its timeline's imbalance and the NaiveStatic time."""
     problem, seed = args
-    return tune_cluster(problem, rng=seed)
+    tuned = tune_cluster(problem, rng=seed)
+    return {
+        **tuned.to_record(),
+        "imbalance": _device_imbalance(
+            problem, problem.timeline(list(tuned.thresholds))
+        ),
+        "static_ms": float(
+            problem.evaluate_ms(list(problem.naive_static_thresholds()))
+        ),
+    }
+
+
+def _vector(thresholds) -> str:
+    return str(tuple(int(t) for t in thresholds))
 
 
 def _study(
-    config: ExperimentConfig,
-    names: list[str],
-    make_problem,
-    rng_tag: str,
+    config: ExperimentConfig, names: list[str], kind: str
 ) -> tuple[list[tuple], dict]:
     """The per-algorithm sweep: rows and metrics over (dataset, p)."""
-    engine = config.engine()
-    problems = [
-        make_problem(config, name, _cluster_for(config, p))
-        for name in names
-        for p in P_VALUES
+    cells = [(name, p) for name in names for p in P_VALUES]
+    fields = [
+        dict(dataset=name, problem=kind, **_cluster_for(config, p).cache_fields())
+        for name, p in cells
     ]
-    oracles: list[CutVectorResult] = engine.cached_map(
+    problem = functools.cache(
+        lambda i: study_problem(
+            config, kind, cells[i][0], machine=_cluster_for(config, cells[i][1])
+        )
+    )
+    oracles: list[CutVectorResult] = units(
+        config,
         cluster_oracle,
-        problems,
-        key_fields=[_oracle_key(config, p) for p in problems],
+        [unit_key("cluster-oracle", config, "scale", **f) for f in fields],
+        problem,
+        schedules=lambda o: [list(o.thresholds)],
         encode=CutVectorResult.to_record,
         decode=CutVectorResult.from_record,
         count=lambda o: o.n_evaluations,
     )
-    tunes: list[ClusterTuneResult] = engine.cached_map(
+    tunes = units(
+        config,
         _tune_task,
-        [
-            (p, stable_seed(config.seed, rng_tag, p.name, p.n_cuts))
-            for p in problems
-        ],
-        key_fields=[_tune_key(config, p) for p in problems],
-        encode=ClusterTuneResult.to_record,
-        decode=ClusterTuneResult.from_record,
-        count=lambda t: t.n_evaluations,
+        [unit_key("cluster-tune", config, "scale", "seed", **f) for f in fields],
+        lambda i: (
+            problem(i),
+            stable_seed(config.seed, kind, cells[i][0], cells[i][1] - 1),
+        ),
+        schedules=lambda t: [t["thresholds"]],
+        count=lambda t: t["n_evaluations"],
     )
     rows: list[tuple] = []
     metrics: dict[str, float] = {}
     base_ms: dict[str, float] = {}
-    for problem, oracle, tuned in zip(problems, oracles, tunes):
-        p = problem.n_cuts + 1
-        bal = _device_imbalance(problem, problem.timeline(list(tuned.thresholds)))
-        slowdown = 100.0 * max(0.0, tuned.value_ms / oracle.value_ms - 1.0)
-        static_ms = float(
-            problem.evaluate_ms(list(problem.naive_static_thresholds()))
-        )
+    for (name, p), oracle, tuned in zip(cells, oracles, tunes):
+        slowdown = 100.0 * max(0.0, tuned["value_ms"] / oracle.value_ms - 1.0)
         if p == 2:
-            base_ms[problem.name] = tuned.value_ms
-        speedup = base_ms[problem.name] / tuned.value_ms
+            base_ms[name] = tuned["value_ms"]
+        speedup = base_ms[name] / tuned["value_ms"]
         rows.append(
             (
-                problem.name,
+                name,
                 p,
                 oracle.strategy,
-                str(tuple(int(t) for t in oracle.thresholds)),
+                _vector(oracle.thresholds),
                 oracle.value_ms,
-                str(tuple(int(t) for t in tuned.thresholds)),
-                tuned.value_ms,
+                _vector(tuned["thresholds"]),
+                tuned["value_ms"],
                 slowdown,
-                static_ms,
-                bal,
+                tuned["static_ms"],
+                tuned["imbalance"],
                 speedup,
             )
         )
-        metrics[f"{rng_tag}_{problem.name}_p{p}_slowdown"] = slowdown
-        metrics[f"{rng_tag}_{problem.name}_p{p}_imbalance"] = bal
-        metrics[f"{rng_tag}_{problem.name}_p{p}_speedup_vs_p2"] = speedup
+        metrics[f"{kind}_{name}_p{p}_slowdown"] = slowdown
+        metrics[f"{kind}_{name}_p{p}_imbalance"] = tuned["imbalance"]
+        metrics[f"{kind}_{name}_p{p}_speedup_vs_p2"] = speedup
     return rows, metrics
-
-
-def _cc_problem(config, name, cluster):
-    return MultiwayCcProblem(
-        config.dataset(name).as_graph(), cluster, name=name
-    )
-
-
-def _spmm_problem(config, name, cluster):
-    return MultiwaySpmmProblem(config.dataset(name).matrix, cluster, name=name)
 
 
 _COLUMNS = (
@@ -187,10 +164,8 @@ def run(config: ExperimentConfig | None = None) -> ExperimentReport:
     cc_names = config.select(CC_DATASETS) or CC_DATASETS
     spmm_names = config.select(SPMM_DATASETS) or SPMM_DATASETS
 
-    cc_rows, metrics = _study(config, cc_names, _cc_problem, "cluster-cc")
-    spmm_rows, spmm_metrics = _study(
-        config, spmm_names, _spmm_problem, "cluster-spmm"
-    )
+    cc_rows, metrics = _study(config, cc_names, "cluster-cc")
+    spmm_rows, spmm_metrics = _study(config, spmm_names, "cluster-spmm")
     metrics.update(spmm_metrics)
 
     slowdowns = [v for k, v in metrics.items() if k.endswith("_slowdown")]

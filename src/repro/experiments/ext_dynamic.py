@@ -33,6 +33,7 @@ from repro.core import SamplingPartitioner
 from repro.core.search import GradientDescentSearch, RaceCoarseSearch
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.report import ExperimentReport, ReportTable
+from repro.experiments.runner import unit_key, units
 from repro.hetero.dynamic_rebalance import (
     DynamicRebalance,
     per_round_oracle,
@@ -92,49 +93,80 @@ def _order_rows(a: CsrMatrix, workload: str, rng) -> CsrMatrix:
     raise ValueError(f"unknown workload {workload!r}")
 
 
-def _clamped_estimate(problem, partitioner) -> float:
-    est = partitioner.estimate(problem)
+def _drift_payload(config: ExperimentConfig, problem_class, workload: str, tag: str, search):
+    """The ramp matrix reordered into *workload*, as a problem, and two
+    identically seeded partitioners; *tag* seeds them and names the problem."""
+    n = max(256, int(round(32000 * config.scale)))
+    gen = as_generator(stable_seed(config.seed, "ext-dynamic", tag))
+    a = _order_rows(_ramp_matrix(n, gen), workload, gen)
+    seed = stable_seed(config.seed, "ext-dynamic", tag, "est")
+    return (
+        problem_class(a, config.machine(), name=f"drift/{tag}"),
+        *(SamplingPartitioner(search(), repeats=config.repeats, rng=seed) for _ in range(2)),
+    )
+
+
+def _drift_task(args) -> dict:
+    """One workload under the static cutoff, DynamicRebalance and the oracle."""
+    problem, estimator, rebalancer = args
+    est = estimator.estimate(problem)
     grid = problem.threshold_grid()
-    return float(min(max(est.threshold, float(grid[0])), float(grid[-1])))
+    t0 = float(min(max(est.threshold, float(grid[0])), float(grid[-1])))
+    bounds = round_bounds(problem.round_axis_n(), ROUNDS)
+    static_ms = sum(
+        problem.round_block(lo, hi).evaluate_ms(t0) for lo, hi in bounds
+    )
+    dynamic = DynamicRebalance(rebalancer, rounds=ROUNDS).run(problem)
+    oracle_ts, oracle_ms = per_round_oracle(problem, ROUNDS)
+    return {
+        "t0": t0,
+        "static_ms": static_ms,
+        "dynamic_ms": dynamic.total_ms,
+        "dynamic_ts": [float(r.thresholds[0]) for r in dynamic.rounds],
+        "oracle_ts": oracle_ts,
+        "oracle_ms": oracle_ms,
+    }
+
+
+def _steal_task(args) -> dict:
+    """Spmm rounds with and without the work-stealing executor."""
+    problem, plain, stealing = args
+    plain = DynamicRebalance(plain, rounds=ROUNDS).run(problem)
+    stealing = DynamicRebalance(stealing, rounds=ROUNDS, steal=True).run(problem)
+    return {
+        "plain_ms": plain.total_ms,
+        "plain_stolen": int(plain.stolen_rows),
+        "stealing_ms": stealing.total_ms,
+        "stolen_rows": int(stealing.stolen_rows),
+    }
 
 
 def run(config: ExperimentConfig | None = None) -> ExperimentReport:
     config = config or ExperimentConfig()
-    machine = config.machine()
-    n = max(256, int(round(32000 * config.scale)))
-
+    fields = ("scale", "seed", "repeats")
+    results = units(
+        config,
+        _drift_task,
+        [unit_key("drift", config, *fields, workload=w) for w in WORKLOADS],
+        lambda i: _drift_payload(
+            config, HhCpuProblem, WORKLOADS[i], WORKLOADS[i], GradientDescentSearch
+        ),
+        schedules=lambda r: [r["t0"]],
+    )
     rows = []
     metrics: dict = {}
     gains: list[float] = []
     aboves: list[float] = []
     trajectory: ReportTable | None = None
-    for workload in WORKLOADS:
-        gen = as_generator(stable_seed(config.seed, "ext-dynamic", workload))
-        a = _order_rows(_ramp_matrix(n, gen), workload, gen)
-        problem = HhCpuProblem(a, machine, name=f"drift/{workload}")
-
-        def partitioner() -> SamplingPartitioner:
-            return SamplingPartitioner(
-                GradientDescentSearch(),
-                repeats=config.repeats,
-                rng=stable_seed(config.seed, "ext-dynamic", workload, "est"),
-            )
-
-        t0 = _clamped_estimate(problem, partitioner())
-        bounds = round_bounds(problem.round_axis_n(), ROUNDS)
-        static_ms = sum(
-            problem.round_block(lo, hi).evaluate_ms(t0) for lo, hi in bounds
-        )
-        dynamic = DynamicRebalance(partitioner(), rounds=ROUNDS).run(problem)
-        oracle_ts, oracle_ms = per_round_oracle(problem, ROUNDS)
-
-        gain = 100.0 * (static_ms - dynamic.total_ms) / static_ms
-        above = 100.0 * (dynamic.total_ms - oracle_ms) / oracle_ms
+    for workload, r in zip(WORKLOADS, results):
+        static_ms, dynamic_ms, oracle_ms = r["static_ms"], r["dynamic_ms"], r["oracle_ms"]
+        gain = 100.0 * (static_ms - dynamic_ms) / static_ms
+        above = 100.0 * (dynamic_ms - oracle_ms) / oracle_ms
         rows.append(
-            (workload, t0, static_ms, dynamic.total_ms, oracle_ms, gain, above)
+            (workload, r["t0"], static_ms, dynamic_ms, oracle_ms, gain, above)
         )
         metrics[f"{workload}_static_ms"] = static_ms
-        metrics[f"{workload}_dynamic_ms"] = dynamic.total_ms
+        metrics[f"{workload}_dynamic_ms"] = dynamic_ms
         metrics[f"{workload}_oracle_ms"] = oracle_ms
         metrics[f"{workload}_gain_percent"] = gain
         metrics[f"{workload}_above_oracle_percent"] = above
@@ -147,8 +179,8 @@ def run(config: ExperimentConfig | None = None) -> ExperimentReport:
                 "(static vs dynamic vs oracle)",
                 ("round", "static t", "dynamic t", "oracle t"),
                 tuple(
-                    (r.index, t0, r.thresholds[0], oracle_ts[r.index])
-                    for r in dynamic.rounds
+                    (i, r["t0"], t, r["oracle_ts"][i])
+                    for i, t in enumerate(r["dynamic_ts"])
                 ),
             )
 
@@ -157,8 +189,19 @@ def run(config: ExperimentConfig | None = None) -> ExperimentReport:
     metrics["median_gain_percent"] = median_gain
     metrics["median_above_oracle_percent"] = median_above
 
-    steal_rows, steal_metrics = _steal_study(config, machine, n)
-    metrics.update(steal_metrics)
+    (steal,) = units(
+        config,
+        _steal_task,
+        [unit_key("drift-steal", config, *fields)],
+        lambda i: _drift_payload(config, SpmmProblem, "sawtooth", "steal", RaceCoarseSearch),
+    )
+    steal_rows = [
+        ("rounds only", steal["plain_ms"], steal["plain_stolen"]),
+        ("rounds + stealing", steal["stealing_ms"], steal["stolen_rows"]),
+    ]
+    metrics["steal_plain_ms"] = steal["plain_ms"]
+    metrics["steal_stealing_ms"] = steal["stealing_ms"]
+    metrics["steal_stolen_rows"] = float(steal["stolen_rows"])
 
     tables = [
         ReportTable(
@@ -203,34 +246,3 @@ def run(config: ExperimentConfig | None = None) -> ExperimentReport:
         ),
         metrics=metrics,
     )
-
-
-def _steal_study(
-    config: ExperimentConfig, machine, n: int
-) -> tuple[list[tuple], dict]:
-    """Spmm rounds with and without the work-stealing executor."""
-    gen = as_generator(stable_seed(config.seed, "ext-dynamic", "steal"))
-    a = _order_rows(_ramp_matrix(n, gen), "sawtooth", gen)
-    problem = SpmmProblem(a, machine, name="drift/steal")
-
-    def partitioner() -> SamplingPartitioner:
-        return SamplingPartitioner(
-            RaceCoarseSearch(),
-            repeats=config.repeats,
-            rng=stable_seed(config.seed, "ext-dynamic", "steal", "est"),
-        )
-
-    plain = DynamicRebalance(partitioner(), rounds=ROUNDS).run(problem)
-    stealing = DynamicRebalance(partitioner(), rounds=ROUNDS, steal=True).run(
-        problem
-    )
-    rows = [
-        ("rounds only", plain.total_ms, plain.stolen_rows),
-        ("rounds + stealing", stealing.total_ms, stealing.stolen_rows),
-    ]
-    metrics = {
-        "steal_plain_ms": plain.total_ms,
-        "steal_stealing_ms": stealing.total_ms,
-        "steal_stolen_rows": float(stealing.stolen_rows),
-    }
-    return rows, metrics

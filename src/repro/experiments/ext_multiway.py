@@ -18,13 +18,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.cut_vector import coordinate_descent
-from repro.core.oracle import exhaustive_oracle
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.report import ExperimentReport, ReportTable
-from repro.hetero.cc import CcProblem
-from repro.hetero.multiway_cc import MultiwayCcProblem
-from repro.hetero.multiway_spmm import MultiwaySpmmProblem
-from repro.hetero.spmm import SpmmProblem
+from repro.experiments.runner import study_oracles, study_problem, unit_key, units
 from repro.platform.cluster import ClusterSpec
 from repro.util.rng import stable_seed
 
@@ -33,84 +29,87 @@ SPMM_DATASETS = ["cant", "pwtk", "webbase-1M"]
 N_GPUS = 2
 
 
-def run(config: ExperimentConfig | None = None) -> ExperimentReport:
-    config = config or ExperimentConfig()
-    names = config.select(DEFAULT_DATASETS) or DEFAULT_DATASETS
+def _multiway_task(args) -> dict:
+    """Best, sampled and NaiveStatic cut vectors of one multiway problem."""
+    problem, seed = args
+    best, best_ms, _ = coordinate_descent(problem)
+    sub = problem.sample(problem.default_sample_size(), rng=seed)
+    estimate, _, _ = coordinate_descent(sub)
+    return {
+        "best": [float(t) for t in best],
+        "best_ms": best_ms,
+        "estimate": [float(t) for t in estimate],
+        "estimate_ms": problem.evaluate_ms(estimate),
+        "static_ms": problem.evaluate_ms(problem.naive_static_thresholds()),
+    }
+
+
+def _vector(thresholds: list[float]) -> str:
+    return str(tuple(int(t) for t in thresholds))
+
+
+def _study(
+    config: ExperimentConfig, kind: str, names: list[str], rng_tag: str, prefix: str = ""
+) -> tuple[list[tuple], dict]:
+    """Study *kind*'s (``cc`` or ``spmm``) rows and metrics over *names*:
+    the multiway cut vectors against the best single-GPU study oracle."""
+    cluster = ClusterSpec.from_machine(config.machine(), n_gpus=N_GPUS)
+    records = units(
+        config,
+        _multiway_task,
+        [
+            unit_key(
+                "multiway", config, "scale", "seed", dataset=name,
+                problem=f"cluster-{kind}", **cluster.cache_fields(),
+            )
+            for name in names
+        ],
+        lambda i: (
+            study_problem(config, f"cluster-{kind}", names[i], machine=cluster),
+            stable_seed(config.seed, rng_tag, names[i]),
+        ),
+        schedules=lambda r: [r["best"], r["estimate"]],
+    )
     rows = []
     metrics = {}
-    for name in names:
-        dataset = config.dataset(name)
-        graph = dataset.as_graph()
-        machine = config.machine()
-        cluster = ClusterSpec.from_machine(machine, n_gpus=N_GPUS)
-        problem = MultiwayCcProblem(graph, cluster, name=name)
-
-        best_vec, best_ms, _ = coordinate_descent(problem)
-        sub = problem.sample(
-            problem.default_sample_size(),
-            rng=stable_seed(config.seed, "multiway", name),
-        )
-        est_vec, _, _ = coordinate_descent(sub)
-        est_ms = problem.evaluate_ms(est_vec)
-        static_vec = problem.naive_static_thresholds()
-        static_ms = problem.evaluate_ms(static_vec)
-
-        single = exhaustive_oracle(CcProblem(graph, machine, name=name))
+    for name, r, single in zip(names, records, study_oracles(config, kind, names)):
+        est_ms = r["estimate_ms"]
+        slowdown = 100.0 * max(0.0, est_ms / r["best_ms"] - 1.0)
         speedup = single.best_time_ms / est_ms if est_ms else float("inf")
-        slowdown = 100.0 * max(0.0, est_ms / best_ms - 1.0)
         rows.append(
             (
                 name,
-                str(tuple(int(t) for t in best_vec)),
-                best_ms,
-                str(tuple(int(t) for t in est_vec)),
+                _vector(r["best"]),
+                r["best_ms"],
+                _vector(r["estimate"]),
                 est_ms,
                 slowdown,
-                static_ms,
+                r["static_ms"],
                 single.best_time_ms,
                 speedup,
             )
         )
-        metrics[f"{name}_slowdown"] = slowdown
-        metrics[f"{name}_speedup_vs_single_gpu"] = speedup
+        metrics[f"{prefix}{name}_slowdown"] = slowdown
+        metrics[f"{prefix}{name}_speedup_vs_single_gpu"] = speedup
+    return rows, metrics
 
+
+def run(config: ExperimentConfig | None = None) -> ExperimentReport:
+    config = config or ExperimentConfig()
+    names = config.select(DEFAULT_DATASETS) or DEFAULT_DATASETS
+    rows, metrics = _study(config, "cc", names, "multiway")
     avg_slow = float(np.mean([metrics[f"{n}_slowdown"] for n in names]))
     avg_speed = float(np.mean([metrics[f"{n}_speedup_vs_single_gpu"] for n in names]))
     metrics["avg_slowdown"] = avg_slow
     metrics["avg_speedup_vs_single_gpu"] = avg_speed
 
-    # The same extension on the spmm work-share axis.
-    spmm_rows = []
+    # The same extension on the spmm work-share axis (no NaiveStatic column).
     spmm_names = config.select(SPMM_DATASETS) or SPMM_DATASETS
-    for name in spmm_names:
-        dataset = config.dataset(name)
-        machine = config.machine()
-        cluster = ClusterSpec.from_machine(machine, n_gpus=N_GPUS)
-        problem = MultiwaySpmmProblem(dataset.matrix, cluster, name=name)
-        best_vec, best_ms, _ = coordinate_descent(problem)
-        sub = problem.sample(
-            problem.default_sample_size(),
-            rng=stable_seed(config.seed, "multiway-spmm", name),
-        )
-        est_vec, _, _ = coordinate_descent(sub)
-        est_ms = problem.evaluate_ms(est_vec)
-        single = exhaustive_oracle(SpmmProblem(dataset.matrix, machine, name=name))
-        slowdown = 100.0 * max(0.0, est_ms / best_ms - 1.0)
-        speedup = single.best_time_ms / est_ms if est_ms else float("inf")
-        spmm_rows.append(
-            (
-                name,
-                str(tuple(int(t) for t in best_vec)),
-                best_ms,
-                str(tuple(int(t) for t in est_vec)),
-                est_ms,
-                slowdown,
-                single.best_time_ms,
-                speedup,
-            )
-        )
-        metrics[f"spmm_{name}_slowdown"] = slowdown
-        metrics[f"spmm_{name}_speedup_vs_single_gpu"] = speedup
+    spmm_rows, spmm_metrics = _study(
+        config, "spmm", spmm_names, "multiway-spmm", prefix="spmm_"
+    )
+    spmm_rows = [row[:6] + row[7:] for row in spmm_rows]
+    metrics.update(spmm_metrics)
     metrics["spmm_avg_speedup_vs_single_gpu"] = float(
         np.mean([metrics[f"spmm_{n}_speedup_vs_single_gpu"] for n in spmm_names])
     )

@@ -17,6 +17,7 @@ from repro.core.oracle import exhaustive_oracle
 from repro.core.search import CoarseToFineSearch
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.report import ExperimentReport, ReportTable
+from repro.experiments.runner import unit_key, units
 from repro.hetero.dense_mm import DenseMmProblem
 from repro.util.rng import stable_seed
 
@@ -24,39 +25,46 @@ from repro.util.rng import stable_seed
 DEFAULT_SIZES = [1024, 2048, 4096, 6144, 8192]
 
 
+def _dense_task(args: tuple[DenseMmProblem, SamplingPartitioner]) -> dict:
+    """One instance: oracle, sampled estimate and FLOPS split, each priced."""
+    problem, partitioner = args
+    oracle = exhaustive_oracle(problem)
+    estimate = partitioner.estimate(problem).threshold
+    static = problem.naive_static_threshold()
+    return {
+        "name": problem.name,
+        "oracle": oracle.threshold,
+        "oracle_ms": oracle.best_time_ms,
+        "estimate": estimate,
+        "estimate_ms": problem.evaluate_ms(estimate),
+        "static": static,
+        "static_ms": problem.evaluate_ms(static),
+    }
+
+
 def run(config: ExperimentConfig | None = None) -> ExperimentReport:
     config = config or ExperimentConfig()
-    machine = config.machine()
+    records = units(
+        config,
+        _dense_task,
+        [unit_key("dense", config, "scale", "seed", n=n) for n in DEFAULT_SIZES],
+        lambda i: (
+            DenseMmProblem(DEFAULT_SIZES[i], config.machine()),
+            SamplingPartitioner(
+                CoarseToFineSearch(),
+                rng=stable_seed(config.seed, "fig1", DEFAULT_SIZES[i]),
+            ),
+        ),
+        schedules=lambda r: [r["oracle"], r["estimate"], r["static"]],
+    )
     rows_t = []
     rows_ms = []
     static_gaps = []
-    for n in DEFAULT_SIZES:
-        problem = DenseMmProblem(n, machine)
-        oracle = exhaustive_oracle(problem)
-        static_t = problem.naive_static_threshold()
-        partitioner = SamplingPartitioner(
-            CoarseToFineSearch(),
-            rng=stable_seed(config.seed, "fig1", n),
-        )
-        estimate = partitioner.estimate(problem)
-        static_gaps.append(abs(static_t - oracle.threshold))
-        rows_t.append(
-            (
-                problem.name,
-                oracle.threshold,
-                estimate.threshold,
-                static_t,
-                abs(static_t - oracle.threshold),
-            )
-        )
-        rows_ms.append(
-            (
-                problem.name,
-                oracle.best_time_ms,
-                problem.evaluate_ms(estimate.threshold),
-                problem.evaluate_ms(static_t),
-            )
-        )
+    for r in records:
+        gap = abs(r["static"] - r["oracle"])
+        static_gaps.append(gap)
+        rows_t.append((r["name"], r["oracle"], r["estimate"], r["static"], gap))
+        rows_ms.append((r["name"], r["oracle_ms"], r["estimate_ms"], r["static_ms"]))
     avg_gap = float(np.mean(static_gaps))
     return ExperimentReport(
         exp_id="fig1",

@@ -14,7 +14,7 @@ import math
 from repro.core.search import CoarseToFineSearch
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.report import ExperimentReport, ReportTable
-from repro.experiments.runner import cc_problem, sensitivity_sweep
+from repro.experiments.runner import sensitivity_sweep
 from repro.util.stats import near_concave_violations
 
 #: The paper plots two graphs; we use the largest mesh and a road network.
@@ -31,12 +31,14 @@ def run(config: ExperimentConfig | None = None) -> ExperimentReport:
     metrics = {}
     notes = []
     for name in names:
-        problem = cc_problem(config, name)
-        root = math.isqrt(problem.graph.n)
-        sizes = [max(2, int(round(f * root))) for f in SIZE_FACTORS]
-
         rows = sensitivity_sweep(
-            config, "fig4", problem, CoarseToFineSearch, sizes
+            config,
+            "fig4",
+            "cc",
+            name,
+            CoarseToFineSearch,
+            SIZE_FACTORS,
+            lambda problem, f: max(2, int(round(f * math.isqrt(problem.graph.n)))),
         )
         table_rows = tuple(
             (

@@ -10,7 +10,7 @@ from __future__ import annotations
 from repro.core.search import RaceCoarseSearch
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.report import ExperimentReport, ReportTable
-from repro.experiments.runner import sensitivity_sweep, spmm_problem
+from repro.experiments.runner import sensitivity_sweep
 from repro.util.stats import near_concave_violations
 
 #: Two matrices, as in the paper's figure.
@@ -27,12 +27,15 @@ def run(config: ExperimentConfig | None = None) -> ExperimentReport:
     metrics = {}
     notes = []
     for name in names:
-        problem = spmm_problem(config, name)
-        n = problem.a.n_rows
-        sizes = [max(2, int(round(f * n))) for f in SIZE_FRACTIONS]
-
         rows = sensitivity_sweep(
-            config, "fig6", problem, RaceCoarseSearch, sizes, draws=3
+            config,
+            "fig6",
+            "spmm",
+            name,
+            RaceCoarseSearch,
+            SIZE_FRACTIONS,
+            lambda problem, f: max(2, int(round(f * problem.a.n_rows))),
+            draws=3,
         )
         table_rows = tuple(
             (

@@ -15,41 +15,56 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.oracle import exhaustive_oracle
 from repro.core.search import RaceCoarseSearch
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.report import ExperimentReport, ReportTable
-from repro.experiments.runner import spmm_partitioner, spmm_problem
+from repro.experiments.runner import (
+    study_oracles,
+    study_partitioner,
+    study_problems,
+    unit_key,
+    units,
+)
 
 DEFAULT_DATASETS = ["cant", "cop20k_A"]
 N_BLOCKS = 4
 
 
+def _randomness_task(args) -> dict:
+    """The random-sample estimate and the N_BLOCKS predetermined-block ones."""
+    problem, partitioner = args
+    size = problem.default_sample_size()
+    search = RaceCoarseSearch()
+    return {
+        "random": partitioner.estimate(problem).threshold,
+        "blocks": [
+            search.minimize(problem.deterministic_sample(size, position, grid=2)).threshold
+            for position in range(N_BLOCKS)
+        ],
+    }
+
+
 def run(config: ExperimentConfig | None = None) -> ExperimentReport:
     config = config or ExperimentConfig()
     names = config.select(DEFAULT_DATASETS) or DEFAULT_DATASETS
+    problem = study_problems(config, "spmm")
+    oracles = study_oracles(config, "spmm", names, problem)
+    estimates = units(
+        config,
+        _randomness_task,
+        [
+            unit_key("randomness", config, "scale", "seed", "repeats", dataset=name)
+            for name in names
+        ],
+        lambda i: (problem(names[i]), study_partitioner(config, "spmm", names[i])),
+        schedules=lambda r: [r["random"], *r["blocks"]],
+    )
     rows = []
     metrics = {}
-    search = RaceCoarseSearch()
-    for name in names:
-        problem = spmm_problem(config, name)
-        oracle = exhaustive_oracle(problem)
-        estimate = spmm_partitioner(config, name).estimate(problem)
-        block_estimates = []
-        size = problem.default_sample_size()
-        for position in range(N_BLOCKS):
-            block = problem.deterministic_sample(size, position, grid=2)
-            block_estimates.append(search.minimize(block).threshold)
-        rows.append(
-            (
-                name,
-                oracle.threshold,
-                estimate.threshold,
-                *block_estimates,
-            )
-        )
-        random_err = abs(estimate.threshold - oracle.threshold)
-        block_errs = [abs(b - oracle.threshold) for b in block_estimates]
+    for name, oracle, r in zip(names, oracles, estimates):
+        rows.append((name, oracle.threshold, r["random"], *r["blocks"]))
+        random_err = abs(r["random"] - oracle.threshold)
+        block_errs = [abs(b - oracle.threshold) for b in r["blocks"]]
         metrics[f"{name}_random_error"] = random_err
         metrics[f"{name}_block_error_mean"] = float(np.mean(block_errs))
         metrics[f"{name}_block_error_max"] = float(np.max(block_errs))

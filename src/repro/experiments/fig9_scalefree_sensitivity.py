@@ -12,22 +12,20 @@ import math
 from repro.core.search import GradientDescentSearch
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.report import ExperimentReport, ReportTable
-from repro.experiments.runner import hh_problem, sensitivity_sweep
+from repro.experiments.runner import sensitivity_sweep
 from repro.util.stats import near_concave_violations
 
 DEFAULT_DATASETS = ["cant", "web-BerkStan"]
 
 
-def _size_grid(n: int) -> list[tuple[str, int]]:
-    """The paper's row-count grid: √n/4, √(n/2), √n, 2√n, 4√n."""
-    root = math.isqrt(n)
-    return [
-        ("sqrt(n)/4", max(2, root // 4)),
-        ("sqrt(n/2)", max(2, math.isqrt(n // 2))),
-        ("sqrt(n)", max(2, root)),
-        ("2*sqrt(n)", max(2, 2 * root)),
-        ("4*sqrt(n)", max(2, min(4 * root, n))),
-    ]
+#: The paper's row-count grid: label -> sample rows of an n-row matrix.
+SIZE_GRID = {
+    "sqrt(n)/4": lambda n: max(2, math.isqrt(n) // 4),
+    "sqrt(n/2)": lambda n: max(2, math.isqrt(n // 2)),
+    "sqrt(n)": lambda n: max(2, math.isqrt(n)),
+    "2*sqrt(n)": lambda n: max(2, 2 * math.isqrt(n)),
+    "4*sqrt(n)": lambda n: max(2, min(4 * math.isqrt(n), n)),
+}
 
 
 def run(config: ExperimentConfig | None = None) -> ExperimentReport:
@@ -36,13 +34,16 @@ def run(config: ExperimentConfig | None = None) -> ExperimentReport:
     tables = []
     metrics = {}
     notes = []
+    labels = list(SIZE_GRID)
     for name in names:
-        problem = hh_problem(config, name)
-        grid = _size_grid(problem.a.n_rows)
-        sizes = [s for _, s in grid]
-
         rows = sensitivity_sweep(
-            config, "fig9", problem, GradientDescentSearch, sizes
+            config,
+            "fig9",
+            "hh",
+            name,
+            GradientDescentSearch,
+            labels,
+            lambda problem, label: SIZE_GRID[label](problem.a.n_rows),
         )
         table_rows = tuple(
             (
@@ -52,7 +53,7 @@ def run(config: ExperimentConfig | None = None) -> ExperimentReport:
                 r["phase2_ms"],
                 r["total_ms"],
             )
-            for (label, _), r in zip(grid, rows)
+            for label, r in zip(labels, rows)
         )
         tables.append(
             ReportTable(
@@ -63,7 +64,7 @@ def run(config: ExperimentConfig | None = None) -> ExperimentReport:
         )
         totals = [r["total_ms"] for r in rows]
         violations = near_concave_violations(totals)
-        argmin = grid[totals.index(min(totals))][0]
+        argmin = labels[totals.index(min(totals))]
         metrics[f"{name}_argmin"] = argmin
         metrics[f"{name}_unimodality_violations"] = violations
         notes.append(

@@ -169,11 +169,6 @@ class CutProfile:
         """``m_gpu`` over an array of cuts."""
         return self._edges_at_or_above[self._check_many(ks)]
 
-    def m_cross_many(self, ks: np.ndarray) -> np.ndarray:
-        """``m_cross`` over an array of cuts."""
-        ks = self._check_many(ks)
-        return self._m - self._edges_below[ks] - self._edges_at_or_above[ks]
-
     def cpu_degree_sum_many(self, ks: np.ndarray) -> np.ndarray:
         """``cpu_degree_sum`` over an array of cuts."""
         return self._degree_prefix[self._check_many(ks)]

@@ -173,12 +173,6 @@ class ClusterSpec:
 
     # -- balance arithmetic ----------------------------------------------------
 
-    def peak_shares(self) -> tuple[float, ...]:
-        """Each device's fraction of total cluster peak FLOP/s (sums to ~1)."""
-        peaks = [d.peak_gflops for d in self.devices]
-        total = float(sum(peaks))
-        return tuple(p / total for p in peaks)
-
     def performance_ratios(self) -> tuple[float, ...]:
         """Per-device speed ratios normalized against the slowest device.
 

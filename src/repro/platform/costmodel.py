@@ -346,22 +346,6 @@ class PricingTables:
     def size(self) -> int:
         return self.work.size
 
-    def prefix_work(self, ks: np.ndarray) -> np.ndarray:
-        """Represented work below each cut: ``sum(work[:k] * rep[:k])``."""
-        return self.rep_prefix[ks]
-
-    def suffix_work(self, ks: np.ndarray) -> np.ndarray:
-        """Represented work at or above each cut."""
-        return self.rep_prefix[self.size] - self.rep_prefix[ks]
-
-    def prefix_atom_max(self, ks: np.ndarray) -> np.ndarray:
-        """Heaviest single item below each cut (CPU chunk atom)."""
-        return self.prefix_max[ks]
-
-    def suffix_atom_max(self, ks: np.ndarray) -> np.ndarray:
-        """Heaviest single item at or above each cut (GPU straggler)."""
-        return self.suffix_max[ks]
-
     def suffix_padded_work(self, ks: np.ndarray) -> np.ndarray:
         """Represented warp-quantized work at or above each cut."""
         if self.padded_prefix is None:

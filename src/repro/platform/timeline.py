@@ -142,8 +142,8 @@ class Timeline:
         self._cursor: float = 0.0
 
     def _append(self, resource: str, label: str, start_ms: float, duration_ms: float) -> Span:
-        # Plain floats: the clock becomes an np.float64 after any numpy
-        # duration, and spans hand back Python numbers either way.
+        # Plain floats, like the clock: a numpy duration never turns a
+        # span or ``total_ms`` into an np.float64.
         span = Span(resource, label, float(start_ms), float(duration_ms))
         self._spans.append(span)
         return span
@@ -154,7 +154,7 @@ class Timeline:
         """Append one sequential span and advance the clock."""
         self._check_duration(duration_ms)
         span = self._append(resource, label, self._cursor, duration_ms)
-        self._cursor += duration_ms
+        self._cursor += float(duration_ms)
         return span
 
     def overlap(self, tasks: Sequence[tuple[str, str, float]]) -> float:
@@ -168,7 +168,7 @@ class Timeline:
         for resource, label, duration_ms in tasks:
             self._check_duration(duration_ms)
             self._append(resource, label, self._cursor, duration_ms)
-            longest = max(longest, duration_ms)
+            longest = max(longest, float(duration_ms))
         self._cursor += longest
         return longest
 

@@ -320,30 +320,20 @@ def build_problem(
     :class:`~repro.platform.ClusterSpec` derived from the paper testbed
     at this scale.
     """
-    from repro.experiments import runner
+    from repro.experiments.runner import study_problem
 
     config = ExperimentConfig(scale=scale)
-    if kind in CLUSTER_KINDS:
-        from repro.hetero.multiway_cc import MultiwayCcProblem
-        from repro.hetero.multiway_spmm import MultiwaySpmmProblem
-        from repro.platform.cluster import ClusterSpec
+    if kind not in CLUSTER_KINDS:
+        return study_problem(config, kind, dataset)
+    from repro.platform.cluster import ClusterSpec
 
-        ds = config.dataset(dataset)
-        cluster = ClusterSpec.from_machine(
-            config.machine(),
-            n_gpus=n_devices - 1,
-            topology=interconnect,
-            name=f"serve-p{n_devices}",
-        )
-        if kind == "cluster-cc":
-            return MultiwayCcProblem(ds.as_graph(), cluster, name=dataset)
-        return MultiwaySpmmProblem(ds.matrix, cluster, name=dataset)
-    factories = {
-        "cc": runner.cc_problem,
-        "spmm": runner.spmm_problem,
-        "hh": runner.hh_problem,
-    }
-    return factories[kind](config, dataset)
+    cluster = ClusterSpec.from_machine(
+        config.machine(),
+        n_gpus=n_devices - 1,
+        topology=interconnect,
+        name=f"serve-p{n_devices}",
+    )
+    return study_problem(config, kind, dataset, machine=cluster)
 
 
 def tune(request: TuneRequest, problem: PartitionProblem | None = None) -> TuneResponse:
@@ -356,22 +346,17 @@ def tune(request: TuneRequest, problem: PartitionProblem | None = None) -> TuneR
     exactly the harness's (:mod:`repro.experiments.runner`), so a served
     threshold equals what the corresponding study row would report.
     """
-    from repro.experiments import runner
+    from repro.experiments.runner import study_partitioner
 
     if request.problem in CLUSTER_KINDS:
         return _tune_cluster_request(request, problem)
-    partitioner_factories = {
-        "cc": runner.cc_partitioner,
-        "spmm": runner.spmm_partitioner,
-        "hh": runner.hh_partitioner,
-    }
     if problem is None:
         problem = build_problem(request.problem, request.dataset, request.scale)
     config = ExperimentConfig(
         scale=request.scale, seed=request.seed, repeats=request.repeats
     )
-    partitioner = partitioner_factories[request.problem](
-        config, request.dataset, sample_size=request.sample_size
+    partitioner = study_partitioner(
+        config, request.problem, request.dataset, sample_size=request.sample_size
     )
     if request.rounds > 1:
         return _tune_dynamic_request(request, problem, partitioner)

@@ -43,10 +43,6 @@ class SuiteEntry:
     paper_nnz: int
     build: Builder
 
-    @property
-    def paper_avg_row_nnz(self) -> float:
-        return self.paper_nnz / self.paper_n
-
 
 def _band(half_width: float, heavy_fraction: float = 0.10, heavy_multiplier: float = 2.5) -> Builder:
     def build(n: int, nnz: int, gen: np.random.Generator) -> CsrMatrix:

@@ -263,6 +263,7 @@ class TestProducedTimelinesAreClean:
         """Hazard-clean timeline whose makespan the batch pricer reproduces."""
         tl = problem.timeline(threshold)
         assert check_timeline(tl) == []
+        assert type(tl.total_ms) is float  # whatever the cost model returns
         batch = np.array([threshold], dtype=np.float64)
         priced = float(problem.evaluate_many(batch)[0])
         if rel:
@@ -371,6 +372,7 @@ class TestProducedTimelinesAreClean:
             vector = [100.0] * n_gpus
         tl = problem.timeline(vector)
         assert check_timeline(tl) == []
+        assert type(tl.total_ms) is float
         priced = problem.evaluate_many(np.array([vector], dtype=np.float64))
         assert float(priced[0]) == tl.total_ms
 
@@ -385,6 +387,7 @@ class TestProducedTimelinesAreClean:
         chunk_rows = data.draw(st.integers(1, n), label="chunk_rows")
         schedule = simulate_dynamic_spmm(problem, chunk_rows)
         assert check_timeline(schedule.timeline) == []
+        assert type(schedule.timeline.total_ms) is float
         rounds = data.draw(st.integers(1, 8), label="rounds")
         result = DynamicRebalance(
             SamplingPartitioner(RaceCoarseSearch(), rng=seed),
@@ -392,3 +395,4 @@ class TestProducedTimelinesAreClean:
             steal=True,
         ).run(problem)
         assert check_timeline(result.timeline) == []
+        assert type(result.timeline.total_ms) is float

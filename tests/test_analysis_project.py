@@ -30,7 +30,7 @@ from repro.analysis import (
     to_sarif,
 )
 from repro.analysis.__main__ import main as analysis_main
-from repro.analysis.project import analyze_source_set
+from repro.analysis.project import analyze_source_set, build_project_graph
 from repro.analysis.sarif import SARIF_SCHEMA, SARIF_VERSION, sarif_to_json
 
 SRC_ROOT = Path(__file__).resolve().parent.parent / "src" / "repro"
@@ -142,6 +142,87 @@ def work(x):
         )
         assert codes(findings) == ["DET001"]
         assert "passed to .cached_map()" in findings[0].message
+
+
+#: A runner-style helper that forwards its task to ``cached_map``: the
+#: registration at the helper's call site is what makes ``work`` a root.
+RUNNER_TREE = {
+    "runner.py": """\
+def units(config, task, keys, build):
+    return config.engine().cached_map(
+        task, range(len(keys)), key_fields=keys, prepare=build
+    )
+""",
+    "study.py": """\
+import time
+
+from runner import units
+
+def run(config, names):
+    return units(config, work, [{"name": n} for n in names], lambda i: names[i])
+
+def work(name):
+    return helper(name)
+
+def helper(name):
+    return time.time()
+""",
+}
+
+
+class TestRunnerHelperRegistration:
+    def test_task_passed_to_the_helper_is_a_worker_root(self):
+        findings = analyze_source_set(RUNNER_TREE)
+        assert codes(findings) == ["DET001"]
+        (finding,) = findings
+        assert finding.path == "study.py"
+        assert "work" in finding.message and "helper" in finding.message
+        assert "passed to units()" in finding.message
+
+    def test_task_keyword_registers_too(self):
+        study = RUNNER_TREE["study.py"].replace(
+            "units(config, work,", "units(config, task=work, keys="
+        ).replace("names], lambda", "names], build=lambda")
+        findings = analyze_source_set({**RUNNER_TREE, "study.py": study})
+        assert codes(findings) == ["DET001"]
+
+    def test_lambda_passed_to_the_helper_is_par002(self):
+        findings = analyze_source_set(
+            {
+                "runner.py": RUNNER_TREE["runner.py"],
+                "lam.py": """\
+from runner import units
+
+def run(config, keys):
+    return units(config, lambda x: x + 1, keys, lambda i: i)
+""",
+            }
+        )
+        assert codes(findings) == ["PAR002"]
+        assert "lambda passed to units()" in findings[0].message
+
+    def test_shipped_worker_roots(self):
+        """Every task an experiment hands the runner is a worker root,
+        next to the pool registrations outside it."""
+        graph = build_project_graph(SRC_ROOT)[0]
+        roots = set(graph.worker_roots())
+        assert roots >= {
+            "repro.core.cut_vector::cluster_oracle",
+            "repro.core.oracle::exhaustive_oracle",
+            "repro.engine.parallel::_pool_task",
+            "repro.experiments.ext_cluster::_tune_task",
+            "repro.experiments.runner::_comparison_task",
+            "repro.experiments.runner::_sweep_task",
+            "repro.serve.bench::_worker_replay",
+            "repro.experiments.runner::_ablation_task",
+            "repro.experiments.table2_datasets::_inventory_task",
+            "repro.experiments.fig1_dense::_dense_task",
+            "repro.experiments.fig7_randomness::_randomness_task",
+            "repro.experiments.ablation_dynamic::_dynamic_task",
+            "repro.experiments.ext_multiway::_multiway_task",
+            "repro.experiments.ext_dynamic::_drift_task",
+            "repro.experiments.ext_dynamic::_steal_task",
+        }
 
 
 class TestParRules:

@@ -18,7 +18,7 @@ from repro.engine import (
     get_engine,
 )
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import cc_partitioner, cc_problem
+from repro.experiments.runner import study_partitioner, study_problem
 
 TINY = ExperimentConfig(scale=1 / 256)
 
@@ -166,20 +166,20 @@ class TestRecordRoundtrips:
         assert SearchResult.from_record(result.to_record()) == result
 
     def test_oracle_result(self):
-        problem = cc_problem(TINY, "cant")
+        problem = study_problem(TINY, "cc", "cant")
         oracle = exhaustive_oracle(problem)
         assert OracleResult.from_record(oracle.to_record()) == oracle
 
     def test_json_roundtrip_is_byte_exact(self):
-        problem = cc_problem(TINY, "cant")
+        problem = study_problem(TINY, "cc", "cant")
         oracle = exhaustive_oracle(problem)
         via_json = json.loads(json.dumps(oracle.to_record()))
         assert OracleResult.from_record(via_json) == oracle
 
     def test_estimate_and_comparison(self):
-        problem = cc_problem(TINY, "cant")
+        problem = study_problem(TINY, "cc", "cant")
         comparison = compare_with_baselines(
-            problem, cc_partitioner(TINY, "cant"), naive_average=80.0
+            problem, study_partitioner(TINY, "cc", "cant"), naive_average=80.0
         )
         est = comparison.estimate
         assert PartitionEstimate.from_record(est.to_record()) == est
@@ -189,8 +189,8 @@ class TestRecordRoundtrips:
         assert back == comparison
 
     def test_comparison_none_naive_average(self):
-        problem = cc_problem(TINY, "cant")
-        comparison = compare_with_baselines(problem, cc_partitioner(TINY, "cant"))
+        problem = study_problem(TINY, "cc", "cant")
+        comparison = compare_with_baselines(problem, study_partitioner(TINY, "cc", "cant"))
         back = BaselineComparison.from_record(comparison.to_record())
         assert back.naive_average_threshold is None
         assert back.naive_average_time_ms is None

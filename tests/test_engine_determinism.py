@@ -1,12 +1,17 @@
 """The engine determinism suite.
 
-Two guarantees the engine must never break:
+Three guarantees the engine must never break, for every experiment in
+``REGISTRY``:
 
-* **Parallel = serial.**  ``workers=2`` runs of the Figure 3/5/8 studies
-  produce *identical* thresholds and runtimes — we assert on the full
-  rendered report, which is stricter (every cell, byte for byte).
+* **Parallel = serial.**  ``workers=2`` runs produce *identical*
+  thresholds and runtimes — we assert on the full rendered report,
+  which is stricter (every cell, byte for byte).
 * **Warm = cold.**  A warm-cache run replays a cold run's output exactly,
-  with zero problem evaluations performed and zero problems built.
+  with zero problem evaluations performed, zero problems built and no
+  dataset requested.
+* **Validation is replayed.**  With ``validate_traces`` every experiment
+  that reports a simulated schedule hazard-checks it, and a warm run
+  checks exactly the schedules the cold run checked.
 """
 
 from __future__ import annotations
@@ -17,18 +22,19 @@ from dataclasses import replace
 import pytest
 
 from repro.experiments import (
-    ext_cluster,
-    ext_dynamic,
+    REGISTRY,
+    config as config_module,
     fig3_cc,
     fig4_cc_sensitivity,
-    fig5_spmm,
-    fig8_scalefree,
     runner,
     table1_summary,
 )
 from repro.experiments.config import ExperimentConfig
 from repro.hetero.cc import CcProblem
+from repro.hetero.dense_mm import DenseMmProblem
 from repro.hetero.hh_cpu import HhCpuProblem
+from repro.hetero.multiway_cc import MultiwayCcProblem
+from repro.hetero.multiway_spmm import MultiwaySpmmProblem
 from repro.hetero.spmm import SpmmProblem
 from repro.obs import runtime
 
@@ -36,21 +42,14 @@ from repro.obs import runtime
 #: both present in all three study suites.
 BASE = ExperimentConfig(scale=1 / 256, seed=11, datasets=("cant", "pwtk"))
 
-STUDIES = {
-    "fig3": fig3_cc.run,
-    "fig5": fig5_spmm.run,
-    "fig8": fig8_scalefree.run,
-    # The rounds=1 anchor of the dynamic family must also hold under a
-    # worker pool: the whole report (static vs dynamic vs oracle cells)
-    # is compared byte for byte.
-    "ext-dynamic": ext_dynamic.run,
-    # Both passes (cluster oracle, sampled tune) fan out across their
-    # (dataset, p) units.
-    "ext-cluster": ext_cluster.run,
-}
-
-
 STUDY_CLASSES = (CcProblem, SpmmProblem, HhCpuProblem)
+
+#: Every problem class an experiment builds.
+PROBLEM_CLASSES = STUDY_CLASSES + (
+    DenseMmProblem,
+    MultiwayCcProblem,
+    MultiwaySpmmProblem,
+)
 
 
 @pytest.fixture
@@ -60,7 +59,7 @@ def built(monkeypatch) -> Counter:
     Sampled instances (``cant/sample15``) count under their own names.
     """
     counts: Counter = Counter()
-    for cls in STUDY_CLASSES:
+    for cls in PROBLEM_CLASSES:
 
         def counting(self, *args, _init=cls.__init__, **kwargs):
             _init(self, *args, **kwargs)
@@ -70,10 +69,38 @@ def built(monkeypatch) -> Counter:
     return counts
 
 
+@pytest.fixture
+def loaded(monkeypatch) -> list:
+    """Dataset requests in this process, memoized or not (name, scale)."""
+    requests: list = []
+    memo = config_module._cached_dataset
+
+    def counting(name, scale):
+        requests.append((name, scale))
+        return memo(name, scale)
+
+    monkeypatch.setattr(config_module, "_cached_dataset", counting)
+    return requests
+
+
+@pytest.fixture
+def validated(monkeypatch) -> list:
+    """Sources of every schedule the runner hazard-checks, in order."""
+    sources: list = []
+    validate = runner.validate_timeline
+
+    def counting(timeline, source):
+        sources.append(source)
+        return validate(timeline, source=source)
+
+    monkeypatch.setattr(runner, "validate_timeline", counting)
+    return sources
+
+
 class TestParallelMatchesSerial:
-    @pytest.mark.parametrize("exp_id", sorted(STUDIES))
+    @pytest.mark.parametrize("exp_id", list(REGISTRY))
     def test_workers2_bit_identical(self, exp_id):
-        run = STUDIES[exp_id]
+        run = REGISTRY[exp_id]
         serial = run(BASE)
         parallel = run(replace(BASE, workers=2))
         assert parallel.render() == serial.render()
@@ -142,17 +169,24 @@ class TestWarmCacheReplaysCold:
 class TestWarmRunBuildsNothing:
     """Cache lookups need no problem instance, so hits build none."""
 
-    @pytest.mark.parametrize(
-        "run", [fig3_cc.run, table1_summary.run], ids=["fig3", "table1"]
-    )
-    def test_warm_run_builds_no_problem(self, tmp_path, built, run):
+    @pytest.mark.parametrize("exp_id", list(REGISTRY))
+    def test_warm_run_builds_no_problem(self, tmp_path, built, loaded, exp_id):
+        run = REGISTRY[exp_id]
         config = replace(BASE, cache_dir=str(tmp_path / "cache"))
         cold = run(config)
-        assert built[CcProblem.__name__, "cant"] == 1
+        assert built or loaded
+        if exp_id in ("fig3", "table1"):
+            # One build per dataset, shared by the oracle and comparison passes.
+            assert built[CcProblem.__name__, "cant"] == 1
+        before = config.engine().stats.snapshot()
         built.clear()
+        loaded.clear()
         warm = run(config)
+        after = config.engine().stats.snapshot()
         assert warm.render() == cold.render()
-        assert not built
+        assert not built and not loaded
+        assert after["misses"] == before["misses"]
+        assert after["hits"] > before["hits"]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_partial_hit_builds_each_problem_once(self, tmp_path, built, workers):
@@ -175,19 +209,28 @@ class TestWarmRunBuildsNothing:
         }
         assert partial.render() == table1_summary.run(replace(BASE, seed=12)).render()
 
-    def test_warm_run_still_validates_every_trace(self, tmp_path, monkeypatch):
-        sources = []
-        validate = runner.validate_timeline
-
-        def counting(timeline, source):
-            sources.append(source)
-            return validate(timeline, source=source)
-
-        monkeypatch.setattr(runner, "validate_timeline", counting)
+    def test_warm_run_still_validates_every_trace(self, tmp_path, validated):
         config = replace(BASE, cache_dir=str(tmp_path / "cache"), validate_traces=True)
         cold = fig3_cc.run(config)
-        cold_sources = list(sources)
-        sources.clear()
+        cold_sources = list(validated)
+        validated.clear()
         warm = fig3_cc.run(config)
         assert warm.render() == cold.render()
-        assert cold_sources and sources == cold_sources
+        assert cold_sources and validated == cold_sources
+
+
+class TestEveryExperimentValidates:
+    """``validate_traces`` reaches every experiment through the runner."""
+
+    @pytest.mark.parametrize("exp_id", list(REGISTRY))
+    def test_warm_run_checks_the_cold_run_schedules(self, tmp_path, validated, exp_id):
+        run = REGISTRY[exp_id]
+        config = replace(BASE, cache_dir=str(tmp_path / "cache"), validate_traces=True)
+        cold = run(config)
+        cold_sources = list(validated)
+        validated.clear()
+        warm = run(config)
+        assert warm.render() == cold.render()
+        assert validated == cold_sources
+        # Table II reports no schedule; every other experiment does.
+        assert bool(cold_sources) == (exp_id != "table2")

@@ -19,7 +19,7 @@ from repro.engine import parallel
 from repro.engine.parallel import ParallelMap
 from repro.experiments import cli
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import cc_problem, spmm_problem
+from repro.experiments.runner import study_problem
 from repro.util.errors import ValidationError
 from repro.workloads.band import banded_matrix
 
@@ -275,9 +275,9 @@ class TestParallelOracle:
     """A study's oracle is one engine unit: the pooled unit is
     bit-identical to the serial sweep, also without ``evaluate_many``."""
 
-    @pytest.mark.parametrize("factory", [cc_problem, spmm_problem])
-    def test_bit_identical_to_serial(self, factory):
-        problem = factory(TINY, "cant")
+    @pytest.mark.parametrize("kind", ["cc", "spmm"], ids=["cc_problem", "spmm_problem"])
+    def test_bit_identical_to_serial(self, kind):
+        problem = study_problem(TINY, kind, "cant")
         engine = Engine(workers=2)
         [pooled] = engine.cached_map(exhaustive_oracle, [problem])
         assert not engine.stats.degraded
@@ -286,7 +286,7 @@ class TestParallelOracle:
     def test_serial_pmap_takes_serial_path(self, monkeypatch):
         # At workers=1 the map is the plain in-process loop: it never
         # sets up the fault-tolerant run that a pool needs.
-        problem = cc_problem(TINY, "cant")
+        problem = study_problem(TINY, "cc", "cant")
         monkeypatch.setattr(parallel, "_MapRun", None)
         assert ParallelMap(1).map(exhaustive_oracle, [problem]) == [
             exhaustive_oracle(problem)

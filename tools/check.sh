@@ -5,9 +5,8 @@
 # parallel-safety / unit rules over the project graph), the analyzer's
 # own test suites, the API surface snapshot (docs/API.md vs the live
 # surface), the engine test suite, the chaos suite, a cross-process warm
-# replay of table1, a cross-process serial-vs-pooled replay of fig4, fig9,
-# table1 and ext-cluster, a trace-validated cold run of the seven
-# experiments that honour --validate-traces, the cluster experiments, the
+# replay, a cross-process serial-vs-pooled replay and a trace-validated
+# cold run of all 17 experiments, the cluster experiments, the
 # dynamic re-balancing experiments (ext-dynamic and ablation-dynamic),
 # every example, then the full tier-1 test suite.
 # Run from the repository root:
@@ -56,22 +55,25 @@ echo "== chaos tests (fault injection) =="
 python -m pytest -x -q tests/test_engine_faults.py
 
 echo
-echo "== warm replay (cross-process) =="
+echo "== warm replay (cross-process, all experiments) =="
 warm_tmp="$(mktemp -d)"
 trap 'rm -rf "$warm_tmp"' EXIT
 for run in 1 2; do
     python -m repro.experiments --scale 0.015625 \
-        --cache-dir "$warm_tmp/warm" table1 > "$warm_tmp/run$run.txt"
+        --cache-dir "$warm_tmp/warm" > "$warm_tmp/run$run.txt"
 done
 grep -q "engine summary: .* 0 miss(es)" "$warm_tmp/run2.txt"
+if grep "regenerated in .* 0 hit(s)" "$warm_tmp/run2.txt"; then
+    exit 1
+fi
 diff <(grep -v -e "regenerated in" -e "engine summary" "$warm_tmp/run1.txt") \
      <(grep -v -e "regenerated in" -e "engine summary" "$warm_tmp/run2.txt")
 
 echo
-echo "== pooled replay (cross-process) =="
+echo "== pooled replay (cross-process, all experiments) =="
 for workers in 1 2; do
     python -m repro.experiments --no-cache --scale 0.015625 \
-        --workers "$workers" fig4 fig9 table1 ext-cluster \
+        --workers "$workers" \
         > "$warm_tmp/pooled$workers.txt" 2> "$warm_tmp/pooled$workers.err"
 done
 test ! -s "$warm_tmp/pooled2.err"
@@ -79,10 +81,9 @@ diff <(grep -v -e "regenerated in" -e "engine summary" "$warm_tmp/pooled1.txt") 
      <(grep -v -e "regenerated in" -e "engine summary" "$warm_tmp/pooled2.txt")
 
 echo
-echo "== trace validation (exit 0, empty stderr) =="
+echo "== trace validation (all experiments; exit 0, empty stderr) =="
 python -m repro.experiments --no-cache --scale 0.015625 \
-    --validate-traces fig3 fig4 fig5 fig6 fig8 fig9 table1 \
-    > /dev/null 2> "$warm_tmp/validate.err"
+    --validate-traces > /dev/null 2> "$warm_tmp/validate.err"
 if [[ -s "$warm_tmp/validate.err" ]]; then
     cat "$warm_tmp/validate.err" >&2
     exit 1
