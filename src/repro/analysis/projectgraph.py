@@ -210,9 +210,11 @@ class ProjectGraph:
         constructor call, or a method called through a receiver
         (``self.m(x)``, ``obj.m(x)``).  ``Class.m(inst, x)`` passes
         ``self`` explicitly; only a classmethod's ``cls`` is bound there.
-        An unknown receiver falls back to project-wide method-name
-        matching: every candidate when the name is unambiguous enough,
-        but a single one only through ``self.x.m`` / ``Class.x`` chains.
+        An unknown receiver, ``self.x.m`` and ``Class.x.m`` chains included,
+        falls back to project-wide method-name matching: every method of
+        that name, unless the name is blacklisted or has more than
+        ``_FALLBACK_CAP`` candidates.  So ``self.search.minimize(...)``
+        reaches every search strategy's ``minimize``.
         """
         parts = name.split(".")
         head = parts[0]
@@ -237,8 +239,6 @@ class ProjectGraph:
         method = parts[-1]
         candidates = self._methods.get(method, [])
         if method in _FALLBACK_BLACKLIST or len(candidates) > _FALLBACK_CAP:
-            return []
-        if len(candidates) > 1 and (head in ("self", "cls") or head in summary.classes):
             return []
         return [self._candidate(fid, "receiver") for fid in candidates]
 

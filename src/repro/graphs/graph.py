@@ -1,10 +1,10 @@
 """The CSR graph container.
 
-An undirected simple graph stored as a CSR adjacency structure plus the
-deduplicated edge list it was built from.  Vertex *order* is significant and
-preserved: the paper's Algorithm 1 cuts the graph at a vertex index, so the
-generator-provided ordering (spatial for road networks, crawl-like for web
-graphs) is part of the instance.
+An undirected simple graph stored as its deduplicated, canonical edge list,
+with the CSR adjacency structure built from it on first use.  Vertex
+*order* is significant and preserved: the paper's Algorithm 1 cuts the
+graph at a vertex index, so the generator-provided ordering (spatial for
+road networks, crawl-like for web graphs) is part of the instance.
 """
 
 from __future__ import annotations
@@ -12,12 +12,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.util.errors import ValidationError
+from repro.util.pairs import unique_pairs
 
 _INDEX = np.int64
 
 
 class Graph:
-    """Undirected simple graph in CSR form.
+    """Undirected simple graph: a canonical edge list plus CSR on demand.
 
     Parameters
     ----------
@@ -29,11 +30,16 @@ class Graph:
 
     Notes
     -----
-    The adjacency arrays store both orientations (each edge appears twice),
-    the standard CSR-graph layout; :attr:`m` counts undirected edges once.
+    :attr:`edge_u` < :attr:`edge_v` holds edge by edge, and the edges are
+    sorted by ``(edge_u, edge_v)``.  The adjacency arrays store both
+    orientations (each edge appears twice), the standard CSR-graph layout;
+    :attr:`m` counts undirected edges once.  They are built on the first
+    read of :attr:`indptr` or :attr:`adjacency` (the reference labellers
+    and :meth:`neighbors`); degrees and byte counts follow from the edge
+    list without them.
     """
 
-    __slots__ = ("n", "edge_u", "edge_v", "indptr", "adjacency")
+    __slots__ = ("n", "edge_u", "edge_v", "_indptr", "_adjacency")
 
     def __init__(self, n: int, edge_u: np.ndarray, edge_v: np.ndarray) -> None:
         if n < 0:
@@ -47,26 +53,49 @@ class Graph:
                 raise ValidationError("edge endpoint out of range")
             if np.any(u == v):
                 raise ValidationError("self loops are not allowed")
-        # Canonicalize (lo, hi) and deduplicate.
-        lo = np.minimum(u, v)
-        hi = np.maximum(u, v)
-        if lo.size:
-            order = np.lexsort((hi, lo))
-            lo, hi = lo[order], hi[order]
-            keep = np.concatenate(([True], (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])))
-            lo, hi = lo[keep], hi[keep]
+        # Canonicalize (lo, hi) and deduplicate with one sort.
+        lo, hi = unique_pairs(np.minimum(u, v), np.maximum(u, v), n, n)
+        self._set(n, lo, hi)
+
+    def _set(self, n: int, lo: np.ndarray, hi: np.ndarray) -> None:
         self.n = int(n)
         self.edge_u = lo
         self.edge_v = hi
-        # Build CSR adjacency with both orientations.
+        self._indptr: np.ndarray | None = None
+        self._adjacency: np.ndarray | None = None
+
+    @classmethod
+    def _canonical(cls, n: int, lo: np.ndarray, hi: np.ndarray) -> "Graph":
+        """A graph on edges already canonical, unique and sorted (no checks)."""
+        graph = cls.__new__(cls)
+        graph._set(n, lo, hi)
+        return graph
+
+    def _build_csr(self) -> None:
+        """The CSR adjacency with both orientations, from the edge list."""
+        lo, hi = self.edge_u, self.edge_v
         both_src = np.concatenate([lo, hi])
         both_dst = np.concatenate([hi, lo])
-        counts = np.bincount(both_src, minlength=n)
-        self.indptr = np.concatenate(([0], np.cumsum(counts))).astype(_INDEX)
-        order2 = np.argsort(both_src, kind="stable")
-        self.adjacency = both_dst[order2]
+        counts = np.bincount(both_src, minlength=self.n)
+        self._indptr = np.concatenate(([0], np.cumsum(counts))).astype(_INDEX)
+        order = np.argsort(both_src, kind="stable")
+        self._adjacency = both_dst[order]
 
     # -- queries ---------------------------------------------------------------
+
+    @property
+    def indptr(self) -> np.ndarray:
+        """``(n + 1,)`` CSR row pointers of the adjacency (built on first read)."""
+        if self._indptr is None:
+            self._build_csr()
+        return self._indptr
+
+    @property
+    def adjacency(self) -> np.ndarray:
+        """``(2m,)`` neighbor lists, vertex by vertex (built on first read)."""
+        if self._adjacency is None:
+            self._build_csr()
+        return self._adjacency
 
     @property
     def m(self) -> int:
@@ -75,7 +104,8 @@ class Graph:
 
     def degrees(self) -> np.ndarray:
         """Per-vertex degree."""
-        return np.diff(self.indptr)
+        n = self.n
+        return np.bincount(self.edge_u, minlength=n) + np.bincount(self.edge_v, minlength=n)
 
     def neighbors(self, v: int) -> np.ndarray:
         """View of vertex *v*'s adjacency list."""
@@ -85,7 +115,7 @@ class Graph:
 
     def memory_bytes(self) -> int:
         """Bytes of the CSR arrays — what a PCIe transfer ships."""
-        return int(self.indptr.nbytes + self.adjacency.nbytes)
+        return 8 * (self.n + 1) + 16 * self.m
 
     def subgraph(self, vertices: np.ndarray) -> "Graph":
         """Induced subgraph on *vertices*, relabeled to ``0..len-1``.
@@ -99,14 +129,14 @@ class Graph:
                 raise ValidationError("vertices must be sorted and unique")
             if vs[0] < 0 or vs[-1] >= self.n:
                 raise ValidationError("vertex out of range")
-        pos_u = np.searchsorted(vs, self.edge_u)
-        pos_v = np.searchsorted(vs, self.edge_v)
-        pos_u_c = np.minimum(pos_u, max(vs.size - 1, 0))
-        pos_v_c = np.minimum(pos_v, max(vs.size - 1, 0))
-        if vs.size == 0:
-            return Graph(0, np.empty(0, dtype=_INDEX), np.empty(0, dtype=_INDEX))
-        keep = (vs[pos_u_c] == self.edge_u) & (vs[pos_v_c] == self.edge_v)
-        return Graph(vs.size, pos_u_c[keep], pos_v_c[keep])
+        # pos maps each kept vertex to its new label and every other to -1.
+        # The map is increasing, so kept edges stay canonical and in order.
+        pos = np.full(self.n, -1, dtype=_INDEX)
+        pos[vs] = np.arange(vs.size, dtype=_INDEX)
+        pos_u = pos[self.edge_u]
+        pos_v = pos[self.edge_v]
+        keep = (pos_u >= 0) & (pos_v >= 0)
+        return Graph._canonical(vs.size, pos_u[keep], pos_v[keep])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Graph(n={self.n}, m={self.m})"

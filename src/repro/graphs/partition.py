@@ -79,18 +79,16 @@ class CutProfile:
         n = graph.n
         self._n = n
         self._m = graph.m
-        hi = graph.edge_v  # max endpoint of each canonical edge
-        lo = graph.edge_u  # min endpoint
+        # Edges per vertex as the max (hi) and the min (lo) endpoint of a
+        # canonical edge; their sum is the degree (Graph.degrees).
+        hi_counts = np.bincount(graph.edge_v, minlength=n)
+        lo_counts = np.bincount(graph.edge_u, minlength=n)
         # edges_below[k] = #edges with max endpoint < k.
-        self._edges_below = np.concatenate(
-            ([0], np.cumsum(np.bincount(hi, minlength=n)))
-        ).astype(_INDEX)
+        self._edges_below = np.concatenate(([0], np.cumsum(hi_counts))).astype(_INDEX)
         # edges_at_or_above[k] = #edges with min endpoint >= k.
-        below_min = np.concatenate(
-            ([0], np.cumsum(np.bincount(lo, minlength=n)))
-        ).astype(_INDEX)
+        below_min = np.concatenate(([0], np.cumsum(lo_counts))).astype(_INDEX)
         self._edges_at_or_above = self._m - below_min
-        degrees = graph.degrees()
+        degrees = lo_counts + hi_counts
         self._degree_prefix = np.concatenate(([0], np.cumsum(degrees))).astype(_INDEX)
         self._degree_prefix_max = (
             np.concatenate(([0], np.maximum.accumulate(degrees)))

@@ -48,7 +48,7 @@ from repro.platform.timeline import Timeline
 from repro.sparse.csr import CsrMatrix
 from repro.sparse.ops import add, mask_rows
 from repro.sparse.sampling import sample_rows_remap
-from repro.sparse.spgemm import estimate_compression, spgemm
+from repro.sparse.spgemm import self_compression, spgemm
 from repro.util.errors import ValidationError
 from repro.util.rng import RngLike, as_generator
 
@@ -170,10 +170,12 @@ class HhCpuProblem:
         self._row_mults = np.zeros(a.n_rows, dtype=np.float64)
         np.add.at(self._row_mults, self._rows_expanded, self._contrib)
         self._total_mults = float(self._row_mults.sum())
+        # The A x A estimate is kept on A, so an SpmmProblem on the same
+        # matrix shares it.
         if compression is not None:
             self._compression = float(compression)
         else:
-            self._compression = estimate_compression(a, a)
+            self._compression = self_compression(a)
         # Density-sorted batch-pricing tables, built lazily on the first
         # evaluate_many call (scalar-only users never pay for them).
         self._batch_cache: dict | None = None

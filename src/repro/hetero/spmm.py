@@ -50,7 +50,7 @@ from repro.platform.timeline import SpanQueue, Timeline
 from repro.sparse.csr import CsrMatrix
 from repro.sparse.ops import vstack
 from repro.sparse.sampling import deterministic_block
-from repro.sparse.spgemm import estimate_compression, load_vector, spgemm
+from repro.sparse.spgemm import estimate_compression, load_vector, self_compression, spgemm
 from repro.util.errors import ValidationError
 from repro.util.rng import RngLike, as_generator
 
@@ -177,9 +177,12 @@ class SpmmProblem:
         self._total_flops = float(self._flop_prefix[-1])
         # Output-size ratio for the result-transfer term, measured on a
         # deterministic row sample (exact symbolic SpGEMM would cost as much
-        # as the product); samples inherit their parent's value.
+        # as the product); samples inherit their parent's value, and A x A
+        # shares the one estimate kept on A.
         if self._compression_override is not None:
             self._compression = float(self._compression_override)
+        elif b is a:
+            self._compression = self_compression(a)
         else:
             self._compression = estimate_compression(a, b)
 

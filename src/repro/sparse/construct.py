@@ -12,6 +12,7 @@ import numpy as np
 
 from repro.sparse.csr import CsrMatrix
 from repro.util.errors import ValidationError
+from repro.util.pairs import pair_key
 from repro.util.rng import RngLike, as_generator
 
 _INDEX = np.int64
@@ -27,9 +28,11 @@ def from_coo(
 ) -> CsrMatrix:
     """Build CSR from coordinate triples.
 
-    Entries are sorted into row-major order; duplicates at the same
-    coordinate are summed (the COO convention) unless *sum_duplicates* is
-    false, in which case duplicates raise :class:`ValidationError`.
+    Entries are sorted into row-major order by one stable sort of the
+    fused key ``row * n_cols + col`` (``np.lexsort`` when that key could
+    overflow int64); duplicates at the same coordinate are summed in input
+    order (the COO convention) unless *sum_duplicates* is false, in which
+    case duplicates raise :class:`ValidationError`.
     """
     rows = np.asarray(rows, dtype=_INDEX)
     cols = np.asarray(cols, dtype=_INDEX)
@@ -42,7 +45,10 @@ def from_coo(
             raise ValidationError("row index out of range")
         if cols.min() < 0 or cols.max() >= n_cols:
             raise ValidationError("column index out of range")
-    order = np.lexsort((cols, rows))
+    key = pair_key(rows, cols, n_rows, n_cols)
+    order = (
+        np.lexsort((cols, rows)) if key is None else np.argsort(key, kind="stable")
+    )
     rows, cols, vals = rows[order], cols[order], vals[order]
     if rows.size:
         dup = (rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])

@@ -44,7 +44,7 @@ class CsrMatrix:
         hand over ownership.
     """
 
-    __slots__ = ("indptr", "indices", "data", "shape")
+    __slots__ = ("indptr", "indices", "data", "shape", "_self_compression")
 
     def __init__(
         self,
@@ -65,6 +65,8 @@ class CsrMatrix:
             self.indices = np.asarray(indices, dtype=_INDEX)
             self.data = np.asarray(data, dtype=_VALUE)
         self.shape = (int(shape[0]), int(shape[1]))
+        # The A x A output-size ratio, once spgemm.self_compression has it.
+        self._self_compression: float | None = None
         self._validate()
 
     # -- invariants -----------------------------------------------------------

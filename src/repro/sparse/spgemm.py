@@ -12,7 +12,12 @@ Two entry points matter to the paper:
   to run the real kernels in examples/tests.  Implemented as the vectorized
   "expand, sort, coalesce" formulation of Gustavson's algorithm: every
   nonzero ``a_ik`` expands into ``a_ik * B[k, :]``, and the expanded
-  coordinate list is folded by (row, col).
+  coordinate list is folded by (row, col) — by one sort of the fused key
+  ``row * n_cols + col`` in :func:`~repro.sparse.construct.from_coo`, or
+  for dense streams by the sort-free :func:`_bucket_fold`.
+* :func:`estimate_compression` — the output-to-multiply ratio the
+  result-transfer terms need, measured on a row sample.  It belongs to the
+  operand pair, so :func:`self_compression` keeps ``A x A``'s on ``A``.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import numpy as np
 from repro.sparse.construct import from_coo
 from repro.sparse.csr import CsrMatrix, _ranges_gather
 from repro.util.errors import ValidationError
+from repro.util.pairs import unique_pairs
 from repro.util.rng import as_generator
 
 _INDEX = np.int64
@@ -62,7 +68,7 @@ def total_flops(a: CsrMatrix, b: CsrMatrix) -> float:
 
 # The bucketed fold walks a dense accumulator of n_cols cells per row; it
 # only pays off when the expansion stream roughly fills those cells.  Below
-# this expansion-to-cells ratio the lexsort fold in ``from_coo`` wins.
+# this expansion-to-cells ratio the fused-key sort in ``from_coo`` wins.
 _FOLD_DENSITY_CUTOFF = 8
 # Dense-accumulator budget per row block (cells, not bytes): bounds peak
 # memory of the fold at ~3 arrays of this many elements.
@@ -78,12 +84,12 @@ def _bucket_fold(
     """Fold an expansion stream (already grouped by row) without sorting.
 
     ``exp_ptr[r]`` bounds row *r*'s slice of ``out_cols``/``out_vals`` — the
-    stream ``np.repeat`` produces is non-decreasing in row, so no lexsort is
+    stream ``np.repeat`` produces is non-decreasing in row, so no sort is
     needed: each row block scatters into a dense ``rows_in_block x n_cols``
     accumulator via ``np.bincount``.  Weighted bincount adds duplicates in
     input order — the same left-fold ``np.add.at`` performs after the stable
-    lexsort in :func:`from_coo` — so the result is bit-identical to that
-    path.  Unweighted counts supply the structural pattern, which keeps
+    fused-key sort in :func:`from_coo` — so the result is bit-identical to
+    that path.  Unweighted counts supply the structural pattern, which keeps
     explicit zeros exactly as ``from_coo`` does.
     """
     n_rows, n_cols = shape
@@ -125,7 +131,7 @@ def spgemm(a: CsrMatrix, b: CsrMatrix) -> CsrMatrix:
 
     Dense expansion streams (banded operands, where overlapping bands make
     the per-row expansion comparable to ``n_cols``) skip the ``from_coo``
-    lexsort entirely and fold through :func:`_bucket_fold`; sparse streams
+    sort entirely and fold through :func:`_bucket_fold`; sparse streams
     (rmat/uniform) keep the sort-based fold.  Both paths produce
     bit-identical matrices.
     """
@@ -180,7 +186,10 @@ def estimate_compression(
     (overlapping bands collide constantly), hardly at all for uniform
     random ones.  The result-transfer terms of the cost models need this
     ratio; an exact symbolic pass would cost as much as the product itself,
-    so we measure it exactly on up to *max_rows* uniformly random rows.
+    so we measure it exactly on up to *max_rows* uniformly random rows: the
+    sampled rows' expansions are tagged with their sample slot, and one
+    sort of the fused ``(slot, col)`` keys counts each row's distinct
+    output columns.
 
     Deterministic by default: the sample seed derives from the operand
     shapes and nonzero counts, so repeated pricing of one instance agrees.
@@ -199,18 +208,27 @@ def estimate_compression(
     candidates = np.flatnonzero(lv > 0)
     k = min(max_rows, candidates.size)
     rows = rng.choice(candidates, size=k, replace=False)
-    sampled_mults = 0.0
-    sampled_nnz = 0.0
-    b_row_nnz = b.row_nnz()
-    for i in rows:
-        cols_a, _ = a.row(int(i))
-        if cols_a.size == 0:
-            continue
-        expand_counts = b_row_nnz[cols_a]
-        gather = _ranges_gather(b.indptr[cols_a], expand_counts)
-        out_cols = b.indices[gather]
-        sampled_mults += float(out_cols.size)
-        sampled_nnz += float(np.unique(out_cols).size)
-    if sampled_mults == 0:
+    a_counts = a.row_nnz()[rows]
+    cols_a = a.indices[_ranges_gather(a.indptr[rows], a_counts)]
+    expand_counts = b.row_nnz()[cols_a]
+    out_cols = b.indices[_ranges_gather(b.indptr[cols_a], expand_counts)]
+    if out_cols.size == 0:
         return 1.0
-    return float(np.clip(sampled_nnz / sampled_mults, 0.0, 1.0))
+    slots = np.repeat(np.repeat(np.arange(k, dtype=_INDEX), a_counts), expand_counts)
+    distinct, _ = unique_pairs(slots, out_cols, k, b.n_cols)
+    # Both counts are integers far below 2**53, so they are the same
+    # floats a per-row running sum gives, and so is their ratio.
+    ratio = float(distinct.size) / float(out_cols.size)
+    return float(np.clip(ratio, 0.0, 1.0))
+
+
+def self_compression(a: CsrMatrix) -> float:
+    """``estimate_compression(a, a)``, estimated once per operand.
+
+    The ratio is a property of the operand, so it is kept on *a* and every
+    problem that prices ``A x A`` shares it.  A sampled or block matrix is
+    a new operand and pays once.
+    """
+    if a._self_compression is None:
+        a._self_compression = estimate_compression(a, a)
+    return a._self_compression

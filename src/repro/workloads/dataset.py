@@ -56,8 +56,9 @@ class Dataset:
     def as_graph(self) -> Graph:
         """The undirected graph on the matrix's off-diagonal pattern.
 
-        Cached: Table-II-scale graph construction (sort + dedup of a few
-        million edges) is worth doing once per dataset.
+        Cached: Table-II-scale graph construction (one fused-key sort and
+        dedup of a few million edges) is worth doing once per dataset.  The
+        graph's CSR adjacency is built only if something reads it.
         """
         if self._graph is None:
             m = self.matrix

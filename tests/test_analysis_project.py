@@ -225,6 +225,63 @@ def run(config, keys):
         }
 
 
+#: A partitioner that calls its search strategy through an attribute; two
+#: classes define ``minimize`` and one of them reads the wall clock.
+STRATEGY_TREE = {
+    "search.py": """\
+import time
+
+class Exhaustive:
+    def minimize(self, f):
+        return min(f(x) for x in range(3))
+
+class Timed:
+    def minimize(self, f):
+        return f(time.time())
+""",
+    "framework.py": """\
+class Partitioner:
+    def __init__(self, search):
+        self.search = search
+
+    def estimate(self, f):
+        return self.search.minimize(f)
+
+def run(pool, partitioners):
+    return pool.map(task, partitioners)
+
+def task(partitioner):
+    return partitioner.estimate(abs)
+""",
+}
+
+
+class TestAttributeChainCalls:
+    def test_strategy_called_through_an_attribute_is_reached(self):
+        findings = analyze_source_set(STRATEGY_TREE)
+        assert codes(findings) == ["DET001"]
+        (finding,) = findings
+        assert finding.path == "search.py"
+        assert "framework.task -> framework.Partitioner.estimate -> " in finding.message
+        assert "search.Timed.minimize" in finding.message
+
+    def test_shipped_partitioner_reaches_every_strategy(self):
+        graph = build_project_graph(SRC_ROOT)[0]
+        reached = graph.reachable_from(
+            ["repro.core.framework::SamplingPartitioner.estimate"]
+        )
+        assert {fid for fid in reached if fid.endswith(".minimize")} == {
+            f"repro.core.search::{cls}.minimize"
+            for cls in (
+                "SearchStrategy",
+                "ExhaustiveSearch",
+                "CoarseToFineSearch",
+                "GradientDescentSearch",
+                "RaceCoarseSearch",
+            )
+        }
+
+
 class TestParRules:
     def test_par001_module_state_write_interprocedural(self):
         findings = analyze_source_set(

@@ -4,9 +4,10 @@
 # package), the whole-program project analysis (determinism /
 # parallel-safety / unit rules over the project graph), the analyzer's
 # own test suites, the API surface snapshot (docs/API.md vs the live
-# surface), the engine test suite, the chaos suite, a cross-process warm
-# replay, a cross-process serial-vs-pooled replay and a trace-validated
-# cold run of all 17 experiments, the cluster experiments, the
+# surface), the construction-equivalence suite, the engine test suite,
+# the chaos suite, a cross-process warm replay, a cross-process
+# serial-vs-pooled replay and a trace-validated cold run of all 17
+# experiments, the cluster experiments, the
 # dynamic re-balancing experiments (ext-dynamic and ablation-dynamic),
 # every example, then the full tier-1 test suite.
 # Run from the repository root:
@@ -41,6 +42,10 @@ python -m pytest -x -q \
 echo
 echo "== API surface snapshot (docs/API.md) =="
 python -m pytest -x -q tests/test_api_surface.py
+
+echo
+echo "== construction equivalence (one-sort paths, work counts) =="
+python -m pytest -x -q tests/test_construction_equivalence.py
 
 echo
 echo "== engine tests =="
