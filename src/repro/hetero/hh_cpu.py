@@ -50,6 +50,7 @@ from repro.sparse.ops import add, mask_rows
 from repro.sparse.sampling import sample_rows_remap
 from repro.sparse.spgemm import self_compression, spgemm
 from repro.util.errors import ValidationError
+from repro.util.pairs import pair_key
 from repro.util.rng import RngLike, as_generator
 
 _INDEX = np.int64
@@ -59,6 +60,10 @@ _BYTES_PER_NNZ = 16
 #: (merging the Phase II/III partials is a memory-bound sweep over the
 #: intermediate nonzeros).
 COMBINE_FACTOR = 0.20
+
+#: Most density cutoffs one ``evaluate_many`` chunk prices: each aggregate
+#: reads a (chunk + 1)^2 float64 span table, 8 MiB at 1,024.
+_CHUNK = 1024
 
 #: Phase IV runs as a bandwidth-bound merge on both devices.
 PROFILE_COMBINE = KernelProfile(
@@ -77,6 +82,34 @@ PROFILE_ROW_GATHER = KernelProfile(
     bound="memory",
     bytes_per_unit=16.0,
 )
+
+
+def _span_reduce(
+    op: np.ufunc, cells: np.ndarray, values: np.ndarray, g: int
+) -> np.ndarray:
+    """Per cutoff column ``j < g``, *op* (``np.add`` or ``np.maximum``) over
+    the *values* whose column span ``[start, stop)`` holds ``j``.
+
+    *cells* encodes each span as ``start * (g + 1) + stop``: the value's
+    cell in a (g+1) x (g+1) table.  Accumulating down ``start`` leaves in
+    row ``j`` every span that starts at or before ``j``; the reduction
+    over that row's cells with ``stop > j`` is the answer.  The values
+    are non-negative, so an empty column reads 0, as the scalar path's
+    empty sets do, and no sum is a difference.
+    """
+    size = g + 1
+    if op is np.add:
+        # bincount over an empty input yields int64 zeros even with float
+        # weights; an all-empty block must still price as floats.
+        table = np.bincount(cells, weights=values, minlength=size * size).astype(
+            np.float64, copy=False
+        )
+    else:
+        table = np.zeros(size * size, dtype=np.float64)
+        op.at(table, cells, values)
+    started = op.accumulate(table.reshape(size, size)[:g], axis=0)
+    still_open = np.arange(size) > np.arange(g)[:, None]
+    return op.reduce(np.where(still_open, started, 0.0), axis=1)
 
 
 @dataclass(frozen=True)
@@ -158,6 +191,15 @@ class HhCpuProblem:
                 raise ValidationError(
                     f"b_density must have shape ({a.n_cols},)"
                 )
+            if not np.all(
+                np.isfinite(b_density)
+                & (b_density >= 0.0)
+                & (b_density == np.floor(b_density))
+            ):
+                raise ValidationError(
+                    "b_density must hold row nnz counts: finite, "
+                    "non-negative and integer-valued"
+                )
             self._d_cols = b_density
             self._is_row_sample = True
         else:
@@ -176,9 +218,6 @@ class HhCpuProblem:
             self._compression = float(compression)
         else:
             self._compression = self_compression(a)
-        # Density-sorted batch-pricing tables, built lazily on the first
-        # evaluate_many call (scalar-only users never pay for them).
-        self._batch_cache: dict | None = None
 
     # -- work split at a density threshold -----------------------------------------
 
@@ -209,106 +248,136 @@ class HhCpuProblem:
     def evaluate_ms(self, threshold: float) -> float:
         return self._pipeline(threshold).total_ms
 
-    def _batch_tables(self) -> dict:
-        """Density-sorted row tables shared by every evaluate_many call."""
-        if self._batch_cache is None:
-            order = np.argsort(self._d_rows, kind="stable")
-            rank = np.empty(order.size, dtype=_INDEX)
-            rank[order] = np.arange(order.size, dtype=_INDEX)
-            self._batch_cache = {
-                "d_sorted": self._d_rows[order],
-                "rep_sorted": self._rep[order],
-                "mults_sorted": self._row_mults[order],
-                "rank_expanded": rank[self._rows_expanded],
-            }
-        return self._batch_cache
+    def _events(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Each row's nonzeros, one event per distinct contribution.
+
+        Returns ``(ptr, rank, levels, prefix)``: row ``r``'s events are
+        ``ptr[r]:ptr[r + 1]`` in ascending contribution ``levels[rank]``
+        (``levels``: the distinct column densities), and ``prefix`` is the
+        row's inclusive running sum of contribution x count.  Built per
+        call, not kept: no caller prices one problem twice, and kept
+        events raised the cold-run peak RSS (docs/PERFORMANCE.md §9).
+        """
+        n = self.a.n_rows
+        d_sorted = np.sort(self._d_cols)
+        fresh = np.ones(d_sorted.size, dtype=bool)
+        fresh[1:] = d_sorted[1:] != d_sorted[:-1]
+        levels = d_sorted[fresh]
+        rows = self._rows_expanded
+        ranks = np.searchsorted(levels, self._d_cols)[self.a.indices]
+        key = pair_key(rows, ranks, n, levels.size)
+        if key is None:
+            order = np.lexsort((ranks, rows))
+            rows, ranks = rows[order], ranks[order]
+            fresh = (rows[1:] != rows[:-1]) | (ranks[1:] != ranks[:-1])
+        else:
+            del ranks
+            key.sort()  # a fresh array: sort in place, no copy
+            fresh = key[1:] != key[:-1]
+        first = np.flatnonzero(np.concatenate(([rows.size > 0], fresh)))
+        count = np.diff(first, append=rows.size)
+        if key is None:
+            rows, rank = rows[first], ranks[first]
+        else:
+            rows, rank = np.divmod(key[first], levels.size)
+        del key, fresh, first  # the nonzero-sized arrays, before the sums
+        ptr = np.zeros(n + 1, dtype=_INDEX)
+        np.cumsum(np.bincount(rows, minlength=n), out=ptr[1:])
+        # Integer-valued running sums (b_density is checked at
+        # construction): a row's prefix is exact as the global prefix
+        # minus the total before the row.
+        running = np.concatenate(([0.0], np.cumsum(levels[rank] * count)))
+        prefix = running[1:] - np.repeat(running[ptr[:-1]], np.diff(ptr))
+        return ptr, rank, levels, prefix
 
     def evaluate_many(self, thresholds: np.ndarray) -> np.ndarray:
         """Batched :meth:`evaluate_ms` over an array of density cutoffs.
 
-        One bincount over the nonzeros per threshold chunk buckets each
-        per-nonzero multiply volume by the cutoffs it exceeds; a suffix sum
-        over the buckets yields every row's high-density work ``w_high(r, t)``
-        for all cutoffs at once.  With rows ordered by density the high/low
-        row subsets at any cutoff are a suffix/prefix of that order, so each
-        aggregate the scalar pipeline needs (represented totals, true-work
-        maxima, warp-padded totals) is a prefix/suffix table gathered at the
-        cutoff's row boundary.  Chunking bounds the dense (rows x cutoffs)
-        intermediates.
+        Against ascending cutoffs, a row's high-density work steps only at
+        its own contributions.  With each row's nonzeros sorted by
+        contribution (:meth:`_events`), event ``i`` of a row with work
+        ``m`` owns two spans of cutoff columns: high work ``m - P[i-1]``
+        on ``[pe[i-1], pe[i])`` and low work ``P[i]`` on ``[pe[i],
+        pe[i+1])``, where ``pe`` counts the cutoffs below the event's
+        contribution.  Clipped to the columns where the row itself is high
+        or low, the spans feed every aggregate the scalar pipeline reads,
+        each one :func:`_span_reduce`: O(nnz + g²) per chunk of ``g``
+        cutoffs.  The values are non-negative and no aggregate is a
+        difference of sums, so full instances and round blocks (integer
+        summands) equal :meth:`evaluate_ms` bit for bit, and samples
+        differ only in the order of their weighted sums.
         """
         ts = check_thresholds(thresholds, upper=math.inf)
         if ts.size == 0:
             return np.zeros(0, dtype=np.float64)
-        n = self.a.n_rows
-        if n == 0:
+        if self.a.n_rows == 0:
             return np.zeros(ts.shape, dtype=np.float64)
-        tb = self._batch_tables()
         flat = ts.ravel()
         ts_order = np.argsort(flat, kind="stable")
         sorted_ts = flat[ts_order]
-        out_sorted = np.empty(sorted_ts.size, dtype=np.float64)
-        chunk = max(1, int(1_500_000 // (n + 1)))
-        for lo in range(0, sorted_ts.size, chunk):
-            tc = sorted_ts[lo : lo + chunk]
-            out_sorted[lo : lo + tc.size] = self._evaluate_chunk(tc, tb)
+        events = self._events()
         out = np.empty(flat.size, dtype=np.float64)
-        out[ts_order] = out_sorted
+        for lo in range(0, sorted_ts.size, _CHUNK):
+            chunk = slice(lo, lo + _CHUNK)
+            out[ts_order[chunk]] = self._evaluate_chunk(sorted_ts[chunk], events)
         return out.reshape(ts.shape)
 
-    def _evaluate_chunk(self, tc: np.ndarray, tb: dict) -> np.ndarray:
+    def _evaluate_chunk(self, tc: np.ndarray, events: tuple) -> np.ndarray:
         """Price one ascending-sorted chunk of density cutoffs."""
         n = self.a.n_rows
         g = tc.size
+        size = g + 1
         cpu = self.machine.cpu
         gpu = self.machine.gpu
-        # Bucket b of a nonzero = number of cutoffs strictly below its
-        # contribution, so it counts as "high" work exactly for cutoff
-        # columns j < b; w_high(r, j) is the suffix bucket sum over b > j.
-        pe = np.searchsorted(tc, self._contrib, side="left")
-        # bincount over an empty input yields int64 zeros even with float
-        # weights; all-zero-rows blocks must still price as floats.
-        buckets = np.bincount(
-            tb["rank_expanded"] * (g + 1) + pe,
-            weights=self._contrib,
-            minlength=n * (g + 1),
-        ).astype(np.float64, copy=False).reshape(n, g + 1)
-        w_high = buckets[:, ::-1].cumsum(axis=1)[:, ::-1][:, 1:]
-        del buckets
-        w_low = tb["mults_sorted"][:, None] - w_high
-        w_high *= 2.0  # the scalar split prices 2 * w_* per phase
-        w_low *= 2.0
-        rep_col = tb["rep_sorted"][:, None]
+        ptr, rank, levels, prefix = events
+        per_row = np.diff(ptr)
+        nonempty = per_row > 0
+        firsts = ptr[:-1][nonempty]
+        lasts = ptr[1:][nonempty] - 1
+        # Row r is high (density above the cutoff) in the columns j < gr[r];
+        # an event's work is high-density in the columns j < pe.  Columns
+        # and span cells (below (_CHUNK + 1)^2) fit int32.
+        gr = np.searchsorted(tc, self._d_rows, side="left").astype(np.int32)
+        pe = np.searchsorted(tc, levels, side="left").astype(np.int32)[rank]
+        row_gr = np.repeat(gr, per_row)
+        # pe clipped to the row's high columns [0, gr) and to its low ones
+        # [gr, g).  Along a row, an event's high work spans from the
+        # previous event's clipped pe to its own, its low work from its own
+        # to the next event's; a row's ends clip 0 and g the same way.
+        in_high = np.minimum(pe, row_gr)
+        in_low = np.maximum(pe, row_gr)
+        del pe, row_gr
+        gr_rows = gr[nonempty]
+        row_rep = np.repeat(self._rep, per_row)
         quantum = gpu.warp_size * gpu.flops_per_cycle
 
-        def pref(x: np.ndarray) -> np.ndarray:
-            out = np.empty((n + 1, g), dtype=np.float64)
-            out[0] = 0.0
-            np.cumsum(x, axis=0, out=out[1:])
+        def shifted(x: np.ndarray, step: int, fill) -> np.ndarray:
+            """``x[i - step]`` along each row (step 1 or -1), *fill* where
+            that falls off the row's first or last event."""
+            out = np.roll(x, step)
+            out[firsts if step == 1 else lasts] = fill
             return out
 
-        def prefmax(x: np.ndarray) -> np.ndarray:
-            out = np.zeros((n + 1, g), dtype=np.float64)
-            np.maximum.accumulate(x, axis=0, out=out[1:])
-            return out
+        def padded(w: np.ndarray) -> np.ndarray:
+            return np.ceil(w / quantum) * quantum * row_rep
 
-        def sufmax(x: np.ndarray) -> np.ndarray:
-            out = np.zeros((n + 1, g), dtype=np.float64)
-            out[:n] = np.maximum.accumulate(x[::-1], axis=0)[::-1]
-            return out
-
-        # Rows sorted by density: Low(t) is the prefix of rows with density
-        # <= t, High(t) the complementary suffix.
-        b = np.searchsorted(tb["d_sorted"], tc, side="right")
-        cols = np.arange(g)
-        p_high_rep = pref(w_high * rep_col)
-        p_low_rep = pref(w_low * rep_col)
-        p_pad_low_rep = pref(np.ceil(w_low / quantum) * quantum * rep_col)
-        p_pad_high_rep = pref(np.ceil(w_high / quantum) * quantum * rep_col)
-        smax_high = sufmax(w_high)[b, cols]
-        smax_low = sufmax(w_low)[b, cols]
-        pmax_high = prefmax(w_high)[b, cols]
-        pmax_low = prefmax(w_low)[b, cols]
-        del w_high, w_low
+        # The scalar split prices 2 * w_* per phase.
+        work = 2.0 * (np.repeat(self._row_mults, per_row) - shifted(prefix, 1, 0.0))
+        cells = shifted(in_high, 1, 0) * size + in_high  # A_H x B_H
+        total2c = _span_reduce(np.add, cells, work * row_rep, g)  # represented
+        smax_high = _span_reduce(np.maximum, cells, work, g)  # CPU atomicity
+        cells = shifted(in_low, 1, gr_rows) * size + in_low  # A_L x B_H
+        pad_high = _span_reduce(np.add, cells, padded(work), g)  # warp-padded
+        pmax_high = _span_reduce(np.maximum, cells, work, g)  # GPU stragglers
+        work = 2.0 * prefix  # the low-density work
+        cells = in_high * size + shifted(in_high, -1, gr_rows)  # A_H x B_L
+        total3c = _span_reduce(np.add, cells, work * row_rep, g)
+        smax_low = _span_reduce(np.maximum, cells, work, g)
+        cells = in_low * size + shifted(in_low, -1, g)  # A_L x B_L
+        pad_low = _span_reduce(np.add, cells, padded(work), g)
+        pmax_low = _span_reduce(np.maximum, cells, work, g)
+        # Low rows ship their whole represented work back: m * rep on [gr, g).
+        gpu_mults = _span_reduce(np.add, gr * size + g, self._row_mults * self._rep, g)
 
         rate_c = effective_rate_per_ms(cpu, self.profile)
         rate_g = effective_rate_per_ms(gpu, self.profile)
@@ -327,17 +396,14 @@ class HhCpuProblem:
             ms = np.maximum(padded / rate_g, strag / warp_rate) + gpu_launch
             return np.where(strag > 0.0, ms, 0.0)
 
-        total2c = p_high_rep[n] - p_high_rep[b, cols]  # A_H x B_H, represented
-        total3c = p_low_rep[n] - p_low_rep[b, cols]  # A_H x B_L, represented
         phase2 = np.maximum(
             cpu_chunked(total2c, smax_high),
-            gpu_warp(p_pad_low_rep[b, cols], pmax_low),
+            gpu_warp(pad_low, pmax_low),
         )
         phase3 = np.maximum(
             cpu_chunked(total3c, smax_low),
-            gpu_warp(p_pad_high_rep[b, cols], pmax_high),
+            gpu_warp(pad_high, pmax_high),
         )
-        gpu_mults = (p_low_rep[b, cols] + p_high_rep[b, cols]) / 2.0
         d2h = self.machine.transfer_ms_many(
             gpu_mults * self._compression * _BYTES_PER_NNZ
         )
@@ -480,20 +546,7 @@ class HhCpuProblem:
         the smallest cutoff whose high-row work share does not exceed the
         CPU's peak fraction (~12%).
         """
-        target = 1.0 - self.machine.gpu_peak_share
-        order = np.argsort(self._d_rows)[::-1]  # heaviest rows first
-        work_sorted = self._row_mults[order]
-        total = self._total_mults
-        if total == 0:
-            return 0.0
-        shares = np.cumsum(work_sorted) / total
-        # Number of heaviest rows whose cumulative work stays within target.
-        k = int(np.searchsorted(shares, target, side="right"))
-        if k == 0:
-            return float(self._d_rows.max())
-        if k >= self._d_rows.size:
-            return 0.0
-        return max(0.0, float(self._d_rows[order[k - 1]]) - 1.0)
+        return self.threshold_for_cpu_share(1.0 - self.machine.gpu_peak_share)
 
     def gpu_only_threshold(self) -> float:
         """Cutoff above every density: no high rows, everything on the GPU."""
@@ -538,8 +591,8 @@ class HhCpuProblem:
     def threshold_for_cpu_share(self, share: float) -> float:
         """Smallest density cutoff whose high-row work share is <= *share*.
 
-        The same heaviest-rows-first scan as :meth:`naive_static_threshold`,
-        with the target share free — the rebalance loop moves the cutoff
+        A heaviest-rows-first scan; :meth:`naive_static_threshold` is this
+        at the CPU's peak share, and the rebalance loop moves the cutoff
         through this mapping.
         """
         share = min(max(share, 0.0), 1.0)

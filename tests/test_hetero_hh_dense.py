@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.framework import SamplingPartitioner
 from repro.core.oracle import exhaustive_oracle
@@ -12,6 +13,23 @@ from repro.sparse.spgemm import spgemm
 from repro.util.errors import ValidationError
 from repro.workloads.scalefree import scalefree_matrix
 from tests.conftest import random_sparse
+
+
+def heaviest_rows_scan(problem: HhCpuProblem, target: float) -> float:
+    """The scan ``naive_static_threshold`` ran itself before it delegated
+    to ``threshold_for_cpu_share``."""
+    order = np.argsort(problem._d_rows)[::-1]  # heaviest rows first
+    work_sorted = problem._row_mults[order]
+    total = problem._total_mults
+    if total == 0:
+        return 0.0
+    shares = np.cumsum(work_sorted) / total
+    k = int(np.searchsorted(shares, target, side="right"))
+    if k == 0:
+        return float(problem._d_rows.max())
+    if k >= problem._d_rows.size:
+        return 0.0
+    return max(0.0, float(problem._d_rows[order[k - 1]]) - 1.0)
 
 
 @pytest.fixture()
@@ -98,6 +116,35 @@ class TestHhPricing:
         # The high-row share must be near (at most a few points above) the
         # CPU peak fraction.
         assert share <= (1 - machine.gpu_peak_share) + 0.10
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        st.integers(1, 120),
+        st.integers(0, 2**16),
+        st.sampled_from(["full", "rows", "importance", "fold"]),
+    )
+    def test_naive_static_is_the_replaced_scan(self, machine, n, seed, method):
+        problem = HhCpuProblem(scalefree_matrix(n, 5.0, alpha=2.2, rng=seed), machine)
+        if method != "full":
+            problem = problem.sample(max(1, n // 4), rng=seed, method=method)
+        target = 1.0 - problem.machine.gpu_peak_share
+        assert problem.naive_static_threshold() == heaviest_rows_scan(problem, target)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [-1.0, np.nan, np.inf, 2.5],
+        ids=["negative", "nan", "inf", "fractional"],
+    )
+    def test_b_density_must_hold_row_nnz_counts(self, sf_problem, bad):
+        # Batch pricing keys each nonzero on its integer contribution, so a
+        # density vector that is not a row-nnz vector fails at construction.
+        a = sf_problem.a.select_rows(np.arange(10))
+        density = sf_problem.a.row_nnz().astype(np.float64)
+        density[3] = bad
+        with pytest.raises(ValidationError, match="b_density"):
+            HhCpuProblem(a, sf_problem.machine, b_density=density)
+        with pytest.raises(ValidationError, match="b_density"):
+            HhCpuProblem(a, sf_problem.machine, b_density=np.full_like(density, bad))
 
 
 class TestHhSampling:

@@ -4,8 +4,8 @@
 # package), the whole-program project analysis (determinism /
 # parallel-safety / unit rules over the project graph), the analyzer's
 # own test suites, the API surface snapshot (docs/API.md vs the live
-# surface), the construction-equivalence suite, the engine test suite,
-# the chaos suite, a cross-process warm replay, a cross-process
+# surface), the construction- and pricing-equivalence suite, the engine
+# test suite, the chaos suite, a cross-process warm replay, a cross-process
 # serial-vs-pooled replay and a trace-validated cold run of all 17
 # experiments, the cluster experiments, the
 # dynamic re-balancing experiments (ext-dynamic and ablation-dynamic),
@@ -44,8 +44,10 @@ echo "== API surface snapshot (docs/API.md) =="
 python -m pytest -x -q tests/test_api_surface.py
 
 echo
-echo "== construction equivalence (one-sort paths, work counts) =="
-python -m pytest -x -q tests/test_construction_equivalence.py
+echo "== construction and pricing equivalence (one-sort paths, work counts, hh events) =="
+python -m pytest -x -q \
+    tests/test_construction_equivalence.py \
+    tests/test_pricing_equivalence.py
 
 echo
 echo "== engine tests =="
