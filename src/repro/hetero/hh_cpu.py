@@ -48,7 +48,7 @@ from repro.platform.timeline import Timeline
 from repro.sparse.csr import CsrMatrix
 from repro.sparse.ops import add, mask_rows
 from repro.sparse.sampling import sample_rows_remap
-from repro.sparse.spgemm import self_compression, spgemm
+from repro.sparse.spgemm import self_compression, self_load_vector, spgemm
 from repro.util.errors import ValidationError
 from repro.util.pairs import pair_key
 from repro.util.rng import RngLike, as_generator
@@ -209,8 +209,11 @@ class HhCpuProblem:
         self._rows_expanded = np.repeat(
             np.arange(a.n_rows, dtype=_INDEX), a.row_nnz()
         )
-        self._row_mults = np.zeros(a.n_rows, dtype=np.float64)
-        np.add.at(self._row_mults, self._rows_expanded, self._contrib)
+        if self._is_row_sample:
+            self._row_mults = np.zeros(a.n_rows, dtype=np.float64)
+            np.add.at(self._row_mults, self._rows_expanded, self._contrib)
+        else:  # A x A: the load vector kept on A, shared with SpmmProblem
+            self._row_mults = self_load_vector(a)
         self._total_mults = float(self._row_mults.sum())
         # The A x A estimate is kept on A, so an SpmmProblem on the same
         # matrix shares it.

@@ -50,7 +50,13 @@ from repro.platform.timeline import SpanQueue, Timeline
 from repro.sparse.csr import CsrMatrix
 from repro.sparse.ops import vstack
 from repro.sparse.sampling import deterministic_block
-from repro.sparse.spgemm import estimate_compression, load_vector, self_compression, spgemm
+from repro.sparse.spgemm import (
+    estimate_compression,
+    load_vector,
+    self_compression,
+    self_load_vector,
+    spgemm,
+)
 from repro.util.errors import ValidationError
 from repro.util.rng import RngLike, as_generator
 
@@ -149,7 +155,8 @@ class SpmmProblem:
 
     def _precompute(self) -> None:
         a, b = self.a, self.b
-        self._row_mults = load_vector(a, b)  # multiplies per row of A
+        # Multiplies per row of A; A x A shares the vector kept on A.
+        self._row_mults = self_load_vector(a) if b is a else load_vector(a, b)
         flops = 2.0 * self._row_mults
         rep = self._rep if self._rep is not None else np.full(a.n_rows, self.work_scale)
         self._flop_prefix = np.concatenate(([0.0], np.cumsum(flops)))

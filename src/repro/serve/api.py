@@ -19,6 +19,7 @@ is the byte representation all equality contracts compare.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 from repro.core.problem import PartitionProblem
 from repro.engine.cache import fingerprint
@@ -41,6 +42,55 @@ CLUSTER_KINDS = ("cluster-cc", "cluster-spmm")
 #: Default request scale: the benchmark scale (1/64 of Table II), small
 #: enough that a cold tune answers in well under a second.
 DEFAULT_REQUEST_SCALE = 1.0 / 64.0
+
+
+#: Marks a record field without a default (``_decode``).
+_REQUIRED = object()
+
+
+def _text(value: Any) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {type(value).__name__}")
+    return value
+
+
+def _optional_int(value: Any) -> int | None:
+    return None if value is None else int(value)
+
+
+def _floats(value: Any) -> tuple[float, ...]:
+    if value is None:
+        return ()
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"expected a list, got {type(value).__name__}")
+    return tuple(float(t) for t in value)
+
+
+def _decode(kind: str, record: Any, fields: tuple) -> dict:
+    """Constructor arguments from a JSON *record*, one converter per field.
+
+    A missing field, or a value its converter refuses (``None`` where a
+    number belongs, a non-numeric string, a list), raises
+    :class:`ValidationError` naming the field.  The converters are the
+    whole check: the serve hit path decodes a cached record per hit, so a
+    well-formed record is converted, not inspected first.
+    """
+    if not isinstance(record, dict):
+        raise ValidationError(
+            f"{kind} record must be an object, got {type(record).__name__}"
+        )
+    out = {}
+    try:
+        for name, convert, default in fields:
+            value = record.get(name, default)
+            out[name] = convert(value)  # no converter accepts _REQUIRED
+    except (TypeError, ValueError, OverflowError) as exc:
+        if value is _REQUIRED:
+            raise ValidationError(f"{kind} record is missing field {name!r}") from None
+        raise ValidationError(
+            f"{kind} record field {name!r} holds {value!r}: {exc}"
+        ) from exc
+    return out
 
 
 class ServeError(ReproError, RuntimeError):
@@ -209,18 +259,8 @@ class TuneRequest:
 
     @classmethod
     def from_record(cls, record: dict) -> "TuneRequest":
-        sample_size = record.get("sample_size")
-        return cls(
-            problem=str(record["problem"]),
-            dataset=str(record["dataset"]),
-            scale=float(record["scale"]),
-            seed=int(record["seed"]),
-            repeats=int(record.get("repeats", 1)),
-            sample_size=None if sample_size is None else int(sample_size),
-            n_devices=int(record.get("n_devices", 2)),
-            interconnect=str(record.get("interconnect", "shared")),
-            rounds=int(record.get("rounds", 1)),
-        )
+        """Decode :meth:`to_record`'s output; :class:`ValidationError` if malformed."""
+        return cls(**_decode("tune request", record, _REQUEST_FIELDS))
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -274,21 +314,8 @@ class TuneResponse:
 
     @classmethod
     def from_record(cls, record: dict) -> "TuneResponse":
-        thresholds = record.get("thresholds")
-        return cls(
-            problem=str(record["problem"]),
-            dataset=str(record["dataset"]),
-            scale=float(record["scale"]),
-            seed=int(record["seed"]),
-            threshold=float(record["threshold"]),
-            thresholds=tuple(float(t) for t in thresholds or ()),
-            rounds=int(record.get("rounds", 1)),
-            phase2_ms=float(record["phase2_ms"]),
-            estimation_ms=float(record["estimation_ms"]),
-            overhead_percent=float(record["overhead_percent"]),
-            n_evaluations=int(record["n_evaluations"]),
-            search_name=str(record["search_name"]),
-        )
+        """Decode :meth:`to_record`'s output; :class:`ValidationError` if malformed."""
+        return cls(**_decode("tune response", record, _RESPONSE_FIELDS))
 
     def canonical_json(self) -> str:
         """The canonical byte representation (all contracts compare this).
@@ -300,6 +327,34 @@ class TuneResponse:
         import json
 
         return json.dumps(self.to_record(), sort_keys=True, separators=(",", ":"))
+
+
+#: ``(field, converter, default)`` for each record field.
+_REQUEST_FIELDS = (
+    ("problem", _text, _REQUIRED),
+    ("dataset", _text, _REQUIRED),
+    ("scale", float, _REQUIRED),
+    ("seed", int, _REQUIRED),
+    ("repeats", int, 1),
+    ("sample_size", _optional_int, None),
+    ("n_devices", int, 2),
+    ("interconnect", _text, "shared"),
+    ("rounds", int, 1),
+)
+_RESPONSE_FIELDS = (
+    ("problem", _text, _REQUIRED),
+    ("dataset", _text, _REQUIRED),
+    ("scale", float, _REQUIRED),
+    ("seed", int, _REQUIRED),
+    ("threshold", float, _REQUIRED),
+    ("thresholds", _floats, None),
+    ("rounds", int, 1),
+    ("phase2_ms", float, _REQUIRED),
+    ("estimation_ms", float, _REQUIRED),
+    ("overhead_percent", float, _REQUIRED),
+    ("n_evaluations", int, _REQUIRED),
+    ("search_name", _text, _REQUIRED),
+)
 
 
 def build_problem(

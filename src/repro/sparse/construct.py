@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.sparse.csr import CsrMatrix
 from repro.util.errors import ValidationError
-from repro.util.pairs import pair_key
+from repro.util.pairs import row_major
 from repro.util.rng import RngLike, as_generator
 
 _INDEX = np.int64
@@ -28,12 +28,16 @@ def from_coo(
 ) -> CsrMatrix:
     """Build CSR from coordinate triples.
 
-    Entries are sorted into row-major order by one stable sort of the
-    fused key ``row * n_cols + col`` (``np.lexsort`` when that key could
-    overflow int64); duplicates at the same coordinate are summed in input
-    order (the COO convention) unless *sum_duplicates* is false, in which
-    case duplicates raise :class:`ValidationError`.
+    Entries are put into stable row-major order by
+    :func:`~repro.util.pairs.row_major`: no sort when they already are,
+    else one in-place sort of the fused key ``row * n_cols + col`` packed
+    with each entry's position (a stable argsort or ``np.lexsort`` for
+    shapes too large to pack).  Duplicates at the same coordinate are
+    summed in input order (the COO convention) unless *sum_duplicates* is
+    false, in which case duplicates raise :class:`ValidationError`.  The
+    matrix never shares memory with the input arrays.
     """
+    given_cols, given_vals = cols, vals
     rows = np.asarray(rows, dtype=_INDEX)
     cols = np.asarray(cols, dtype=_INDEX)
     vals = np.asarray(vals, dtype=_VALUE)
@@ -45,11 +49,7 @@ def from_coo(
             raise ValidationError("row index out of range")
         if cols.min() < 0 or cols.max() >= n_cols:
             raise ValidationError("column index out of range")
-    key = pair_key(rows, cols, n_rows, n_cols)
-    order = (
-        np.lexsort((cols, rows)) if key is None else np.argsort(key, kind="stable")
-    )
-    rows, cols, vals = rows[order], cols[order], vals[order]
+    rows, cols, vals = row_major(rows, cols, vals, n_rows, n_cols)
     if rows.size:
         dup = (rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])
         if np.any(dup):
@@ -61,6 +61,11 @@ def from_coo(
             summed = np.zeros(int(seg_ids[-1]) + 1, dtype=_VALUE)
             np.add.at(summed, seg_ids, vals)
             rows, cols, vals = rows[first], cols[first], summed
+    # Row-major input skips the sort: copy what is still the caller's array.
+    if cols is given_cols:
+        cols = cols.copy()
+    if vals is given_vals:
+        vals = vals.copy()
     indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n_rows))))
     return CsrMatrix(indptr, cols, vals, shape)
 

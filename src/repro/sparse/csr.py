@@ -44,7 +44,7 @@ class CsrMatrix:
         hand over ownership.
     """
 
-    __slots__ = ("indptr", "indices", "data", "shape", "_self_compression")
+    __slots__ = ("indptr", "indices", "data", "shape", "_self_product")
 
     def __init__(
         self,
@@ -65,8 +65,9 @@ class CsrMatrix:
             self.indices = np.asarray(indices, dtype=_INDEX)
             self.data = np.asarray(data, dtype=_VALUE)
         self.shape = (int(shape[0]), int(shape[1]))
-        # The A x A output-size ratio, once spgemm.self_compression has it.
-        self._self_compression: float | None = None
+        # What A x A costs (its load vector and compression ratio), once
+        # repro.sparse.spgemm has computed it for this operand.
+        self._self_product = None
         self._validate()
 
     # -- invariants -----------------------------------------------------------
@@ -93,10 +94,11 @@ class CsrMatrix:
             if int(self.indices.min()) < 0 or int(self.indices.max()) >= n_cols:
                 raise ValidationError("column index out of range")
             # Sorted-and-unique within each row: the only allowed descents in
-            # the global indices array are at row boundaries.
-            descents = np.flatnonzero(np.diff(self.indices) <= 0) + 1
-            boundaries = self.indptr[1:-1]
-            if not np.all(np.isin(descents, boundaries)):
+            # the global indices array are at row starts (one O(nnz) mask).
+            row_start = np.zeros(nnz + 1, dtype=bool)
+            row_start[self.indptr[1:-1]] = True
+            ascent = self.indices[1:] > self.indices[:-1]
+            if not np.all(ascent | row_start[1:-1]):
                 raise ValidationError("column indices must be sorted and unique per row")
 
     # -- basic queries ----------------------------------------------------------

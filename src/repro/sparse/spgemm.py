@@ -16,8 +16,10 @@ Two entry points matter to the paper:
   ``row * n_cols + col`` in :func:`~repro.sparse.construct.from_coo`, or
   for dense streams by the sort-free :func:`_bucket_fold`.
 * :func:`estimate_compression` — the output-to-multiply ratio the
-  result-transfer terms need, measured on a row sample.  It belongs to the
-  operand pair, so :func:`self_compression` keeps ``A x A``'s on ``A``.
+  result-transfer terms need, measured on a row sample.
+
+Both belong to the operand pair, so ``A x A``'s are computed once and kept
+on ``A`` (:func:`self_load_vector`, :func:`self_compression`).
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import numpy as np
 from repro.sparse.construct import from_coo
 from repro.sparse.csr import CsrMatrix, _ranges_gather
 from repro.util.errors import ValidationError
-from repro.util.pairs import unique_pairs
 from repro.util.rng import as_generator
 
 _INDEX = np.int64
@@ -54,6 +55,33 @@ def load_vector(a: CsrMatrix, b: CsrMatrix) -> np.ndarray:
     rows = np.repeat(np.arange(a.n_rows, dtype=_INDEX), a.row_nnz())
     np.add.at(out, rows, contributions)
     return out
+
+
+class _SelfProduct:
+    """``A x A``'s load vector and, once estimated, compression ratio.
+
+    Kept on ``A`` (``CsrMatrix._self_product``), so every problem that
+    prices ``A x A`` shares them; the vector is read-only for that reason.
+    A sampled or block matrix is a new operand and pays once.
+    """
+
+    __slots__ = ("load", "compression")
+
+    def __init__(self, a: CsrMatrix) -> None:
+        self.load = load_vector(a, a)
+        self.load.flags.writeable = False
+        self.compression: float | None = None
+
+
+def _self_product(a: CsrMatrix) -> _SelfProduct:
+    if a._self_product is None:
+        a._self_product = _SelfProduct(a)
+    return a._self_product
+
+
+def self_load_vector(a: CsrMatrix) -> np.ndarray:
+    """``load_vector(a, a)``, computed once per operand (read-only)."""
+    return _self_product(a).load
 
 
 def row_flops(a: CsrMatrix, b: CsrMatrix) -> np.ndarray:
@@ -186,16 +214,20 @@ def estimate_compression(
     (overlapping bands collide constantly), hardly at all for uniform
     random ones.  The result-transfer terms of the cost models need this
     ratio; an exact symbolic pass would cost as much as the product itself,
-    so we measure it exactly on up to *max_rows* uniformly random rows: the
-    sampled rows' expansions are tagged with their sample slot, and one
-    sort of the fused ``(slot, col)`` keys counts each row's distinct
-    output columns.
+    so we measure it exactly on up to *max_rows* uniformly random rows.
+    Each sampled row's distinct output columns are counted without a sort:
+    its expansion ``c`` stamps ``stamp[c] = arange(len(c))`` into one
+    reusable array, and exactly one position ``i`` per distinct column
+    reads its own stamp back (``stamp[c[i]] == i``), whichever duplicate
+    write landed.  That is O(expansions + rows) in all.
 
     Deterministic by default: the sample seed derives from the operand
     shapes and nonzero counts, so repeated pricing of one instance agrees.
+    ``A x A`` reads the load vector kept on ``A`` when there is one.
     """
     _check_compatible(a, b)
-    lv = load_vector(a, b)
+    memo = a._self_product if b is a else None
+    lv = load_vector(a, b) if memo is None else memo.load
     total_mults = float(lv.sum())
     if total_mults == 0:
         return 1.0
@@ -214,21 +246,30 @@ def estimate_compression(
     out_cols = b.indices[_ranges_gather(b.indptr[cols_a], expand_counts)]
     if out_cols.size == 0:
         return 1.0
-    slots = np.repeat(np.repeat(np.arange(k, dtype=_INDEX), a_counts), expand_counts)
-    distinct, _ = unique_pairs(slots, out_cols, k, b.n_cols)
+    # Sampled row s expands into out_cols[bounds[s]:bounds[s + 1]].
+    exp_ptr = np.concatenate(([0], np.cumsum(expand_counts)))
+    bounds = exp_ptr[np.concatenate(([0], np.cumsum(a_counts)))]
+    positions = np.arange(int(np.diff(bounds).max()), dtype=_INDEX)
+    stamp = np.empty(b.n_cols, dtype=_INDEX)  # every read follows its write
+    distinct = 0
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        c = out_cols[lo:hi]
+        here = positions[: hi - lo]
+        stamp[c] = here
+        distinct += int(np.count_nonzero(stamp[c] == here))
     # Both counts are integers far below 2**53, so they are the same
     # floats a per-row running sum gives, and so is their ratio.
-    ratio = float(distinct.size) / float(out_cols.size)
+    ratio = float(distinct) / float(out_cols.size)
     return float(np.clip(ratio, 0.0, 1.0))
 
 
 def self_compression(a: CsrMatrix) -> float:
     """``estimate_compression(a, a)``, estimated once per operand.
 
-    The ratio is a property of the operand, so it is kept on *a* and every
-    problem that prices ``A x A`` shares it.  A sampled or block matrix is
-    a new operand and pays once.
+    The ratio is a property of the operand, so it is kept on *a* with its
+    load vector, and every problem that prices ``A x A`` shares it.
     """
-    if a._self_compression is None:
-        a._self_compression = estimate_compression(a, a)
-    return a._self_compression
+    memo = _self_product(a)
+    if memo.compression is None:
+        memo.compression = estimate_compression(a, a)
+    return memo.compression

@@ -40,6 +40,9 @@ class Dataset:
     paper_n: int
     paper_nnz: int
     _graph: Graph | None = field(default=None, repr=False, compare=False)
+    # Set by load_dataset: every Table II generator symmetrizes its pattern
+    # (pinned by tests/test_construction_equivalence.py).
+    _symmetric: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.matrix.n_rows != self.matrix.n_cols:
@@ -56,16 +59,23 @@ class Dataset:
     def as_graph(self) -> Graph:
         """The undirected graph on the matrix's off-diagonal pattern.
 
-        Cached: Table-II-scale graph construction (one fused-key sort and
-        dedup of a few million edges) is worth doing once per dataset.  The
-        graph's CSR adjacency is built only if something reads it.
+        Cached, and built in one pass for the Table II datasets: their
+        patterns are symmetric, so the canonical edge list is the CSR's
+        strict upper triangle, already unique and sorted in CSR order.
+        Any other dataset (a MatrixMarket file, a hand-built one) takes
+        ``Graph``'s fused-key sort and dedup.  The graph's CSR adjacency is
+        built only if something reads it.
         """
         if self._graph is None:
             m = self.matrix
             rows = np.repeat(np.arange(m.n_rows, dtype=np.int64), m.row_nnz())
             cols = m.indices
-            off = rows != cols
-            self._graph = Graph(m.n_rows, rows[off], cols[off])
+            if self._symmetric:
+                upper = rows < cols
+                self._graph = Graph._canonical(m.n_rows, rows[upper], cols[upper])
+            else:
+                off = rows != cols
+                self._graph = Graph(m.n_rows, rows[off], cols[off])
         return self._graph
 
     def describe(self) -> str:

@@ -165,13 +165,15 @@ def load_dataset(
     n_target = max(64, int(round(entry.paper_n * scale)))
     nnz_target = max(n_target, int(round(entry.paper_nnz * scale)))
     matrix = entry.build(n_target, nnz_target, gen)
-    return Dataset(
+    dataset = Dataset(
         name=entry.name,
         kind=entry.kind,
         matrix=matrix,
         paper_n=entry.paper_n,
         paper_nnz=entry.paper_nnz,
     )
+    dataset._symmetric = True  # every builder above symmetrizes its pattern
+    return dataset
 
 
 def load_suite(

@@ -1,13 +1,19 @@
-"""Construction equivalence: each one-sort path against the path it replaced.
+"""Construction equivalence: each fast path against the path it replaced.
 
-``from_coo`` and ``Graph`` sort index pairs on one fused int64 key,
-``Graph.subgraph`` relabels through a vertex-position map, and
-``estimate_compression`` counts every sampled row's distinct output
-columns with one sort.  Each must reproduce, array for array and bit for
-bit, the two-key ``np.lexsort`` / ``searchsorted`` / per-row ``np.unique``
-implementation it replaced; those stay here as references.  The work-count
-tests pin the savings themselves: one compression estimate per operand,
-and no graph adjacency that nothing reads.
+``from_coo`` skips the sort for row-major input and otherwise sorts one
+packed int64 key in place (a stable argsort or ``np.lexsort`` for shapes
+too large to pack); ``CsrMatrix`` checks per-row order with one O(nnz)
+mask; ``Graph`` sorts index pairs on one fused key; ``Graph.subgraph``
+relabels through a vertex-position map; a Table II dataset's graph is its
+CSR's strict upper triangle; and ``estimate_compression`` counts every
+sampled row's distinct output columns with stamps, without a sort.  Each
+must reproduce, array for array and bit for bit, the two-key
+``np.lexsort`` / ``np.isin`` / ``searchsorted`` / per-row ``np.unique``
+implementation it replaced; those stay here as references.  The Table II
+generators must keep their patterns symmetric, which the upper-triangle
+graph relies on.  The work-count tests pin the savings themselves: one
+load vector and one compression estimate per operand, and no graph
+adjacency that nothing reads.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from importlib import import_module
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.experiments import config as config_module, fig3_cc, fig4_cc_sensitivity
 from repro.experiments import table1_summary
@@ -28,11 +34,18 @@ from repro.hetero import hh_cpu as hh_module, spmm as spmm_module
 from repro.hetero.hh_cpu import HhCpuProblem
 from repro.hetero.spmm import SpmmProblem
 from repro.sparse.construct import from_coo, from_dense
-from repro.sparse.csr import _ranges_gather
-from repro.sparse.spgemm import estimate_compression, load_vector, self_compression
+from repro.sparse.csr import CsrMatrix, _ranges_gather
+from repro.sparse.io import write_matrix_market
+from repro.sparse.spgemm import (
+    estimate_compression,
+    load_vector,
+    self_compression,
+    self_load_vector,
+)
 from repro.util.errors import ValidationError
-from repro.util.pairs import pair_key
+from repro.util.pairs import packed_shift, pair_key
 from repro.util.rng import as_generator
+from repro.workloads.dataset import Dataset, dataset_from_matrix_market
 from repro.workloads.suite import dataset_names, load_dataset
 from tests.test_engine_determinism import BASE
 
@@ -67,6 +80,29 @@ def lexsort_from_coo(rows, cols, vals, shape, sum_duplicates=True):
             rows, cols, vals = rows[first], cols[first], summed
     indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=shape[0]))))
     return indptr, cols, vals
+
+
+def isin_validate(indptr, indices, data, shape):
+    """``CsrMatrix``'s checks with the ``np.isin`` order test: the message or None."""
+    n_rows, n_cols = shape
+    if n_rows < 0 or n_cols < 0:
+        return f"negative shape {shape}"
+    if indptr.ndim != 1 or indptr.size != n_rows + 1:
+        return f"indptr must have {n_rows + 1} entries, got {indptr.size}"
+    if indptr[0] != 0:
+        return "indptr[0] must be 0"
+    if np.any(np.diff(indptr) < 0):
+        return "indptr must be non-decreasing"
+    nnz = int(indptr[-1])
+    if indices.shape != (nnz,) or data.shape != (nnz,):
+        return f"indices/data must have {nnz} entries, got {indices.size}/{data.size}"
+    if nnz:
+        if int(indices.min()) < 0 or int(indices.max()) >= n_cols:
+            return "column index out of range"
+        descents = np.flatnonzero(np.diff(indices) <= 0) + 1
+        if not np.all(np.isin(descents, indptr[1:-1])):
+            return "column indices must be sorted and unique per row"
+    return None
 
 
 def lexsort_edges(u, v):
@@ -170,6 +206,14 @@ def dataset(name, scale):
     return config_module._cached_dataset(name, scale)
 
 
+def guard_triples(n_rows, n_cols):
+    """Six unsorted triples at the extremes of a huge shape, (1, 0) among
+    them twice."""
+    rows = np.array([3, 1, 0, 1, 1, 0], dtype=np.int64) % n_rows
+    cols = np.array([n_cols - 1, 0, n_cols - 1, n_cols - 2, 0, 5], dtype=np.int64)
+    return rows, cols, np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+
+
 # -- strategies -------------------------------------------------------------
 
 
@@ -187,6 +231,34 @@ def coo_triples(draw):
     cols = column(st.integers(0, max(n_cols - 1, 0)))
     vals = column(st.floats(-1e6, 1e6, allow_nan=False))
     return rows, cols, vals, (n_rows, n_cols)
+
+
+@st.composite
+def row_major_triples(draw):
+    """COO triples already in row-major order, duplicates or not."""
+    rows, cols, vals, shape = draw(coo_triples())
+    order = np.lexsort((cols, rows))
+    rows, cols, vals = (np.asarray(x)[order] for x in (rows, cols, vals))
+    if draw(st.booleans()) and rows.size:
+        keep = np.concatenate(([True], (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])))
+        rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    return rows.astype(np.int64), cols.astype(np.int64), vals.astype(np.float64), shape
+
+
+@st.composite
+def csr_arrays(draw):
+    """``(indptr, indices, shape)`` with empty rows, equal neighbours and
+    descents both mid-row and at row starts."""
+    n_rows = draw(st.integers(0, 8))
+    n_cols = draw(st.integers(1, 8))
+    lengths = draw(st.lists(st.integers(0, 5), min_size=n_rows, max_size=n_rows))
+    rows = []
+    for length in lengths:
+        row = draw(st.lists(st.integers(0, n_cols - 1), min_size=length, max_size=length))
+        rows.append(sorted(set(row)) if draw(st.booleans()) else row)
+    indptr = np.concatenate(([0], np.cumsum([len(r) for r in rows]))).astype(np.int64)
+    indices = np.array([c for r in rows for c in r], dtype=np.int64)
+    return indptr, indices, (n_rows, n_cols)
 
 
 @st.composite
@@ -284,13 +356,88 @@ class TestFromCoo:
     )
     def test_key_overflow_guard(self, shape, fused):
         n_rows, n_cols = shape
-        rows = np.array([3, 1, 0, 1, 1, 0], dtype=np.int64) % n_rows
-        cols = np.array([n_cols - 1, 0, n_cols - 1, n_cols - 2, 0, 5], dtype=np.int64)
-        vals = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        rows, cols, vals = guard_triples(n_rows, n_cols)
         assert (pair_key(rows, cols, n_rows, n_cols) is not None) is fused
         assert_same_csr(
             from_coo(rows, cols, vals, shape), lexsort_from_coo(rows, cols, vals, shape)
         )
+
+    @pytest.mark.parametrize(
+        "shape, packed",
+        [
+            ((2, 2**58), True),  # 59 key bits + 3 position bits = 62
+            ((2, 2**59), True),  # 60 + 3 = 63: the widest packed key
+            ((3, 2**59), False),  # 61 + 3 = 64: the key fits, the packed value not
+            ((2, 2**60), False),
+            ((2, 2**62 - 1), False),
+        ],
+    )
+    def test_packed_guard(self, shape, packed):
+        n_rows, n_cols = shape
+        rows, cols, vals = guard_triples(n_rows, n_cols)
+        assert pair_key(rows, cols, n_rows, n_cols) is not None
+        assert (packed_shift(n_rows, n_cols, rows.size) is not None) is packed
+        assert_same_csr(
+            from_coo(rows, cols, vals, shape), lexsort_from_coo(rows, cols, vals, shape)
+        )
+        pairs = list(zip(rows.tolist(), cols.tolist()))
+        keep = np.array([pairs.index(p) == i for i, p in enumerate(pairs)])
+        with pytest.raises(ValidationError, match="duplicate"):
+            from_coo(rows, cols, vals, shape, sum_duplicates=False)
+        matrix = from_coo(rows[keep], cols[keep], vals[keep], shape, sum_duplicates=False)
+        assert_same_csr(matrix, lexsort_from_coo(rows[keep], cols[keep], vals[keep], shape))
+
+    def test_packed_shift_counts_position_bits(self):
+        assert packed_shift(1, 2**63 - 1, 1) == 0  # one entry needs no position
+        assert packed_shift(1, 2**63 - 1, 2) is None
+        assert packed_shift(2**20, 2**20, 2**23) == 23  # 40 + 23 = 63
+        assert packed_shift(2**20, 2**20, 2**23 + 1) is None
+        assert packed_shift(0, 5, 0) == 0
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(row_major_triples(), st.booleans())
+    def test_row_major_input_skips_the_sort(self, triples, sum_duplicates):
+        rows, cols, vals, shape = triples
+        try:
+            reference = lexsort_from_coo(rows, cols, vals, shape, sum_duplicates)
+        except ValidationError:
+            with pytest.raises(ValidationError, match="duplicate"):
+                from_coo(rows, cols, vals, shape, sum_duplicates)
+            return
+        matrix = from_coo(rows, cols, vals, shape, sum_duplicates)
+        assert_same_csr(matrix, reference)
+        # The matrix owns its arrays even when nothing was sorted.
+        for given in (rows, cols, vals):
+            assert not np.shares_memory(matrix.indices, given)
+            assert not np.shares_memory(matrix.data, given)
+
+
+# -- CsrMatrix validation ---------------------------------------------------
+
+
+class TestValidate:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(csr_arrays())
+    @example(([0, 2, 4], [0, 1, 0, 1], (2, 2)))  # descent at a row start: valid
+    @example(([0, 2, 2, 4], [0, 1, 0, 1], (3, 2)))  # across an empty row: valid
+    @example(([0, 4], [0, 1, 0, 1], (1, 2)))  # descent mid-row
+    @example(([0, 2, 4], [1, 1, 0, 1], (2, 2)))  # equal neighbours in a row
+    @example(([0, 2, 4], [0, 1, 1, 1], (2, 2)))  # across rows, then in one
+    @example(([0, 0, 0], [], (2, 2)))
+    def test_accepts_and_rejects_what_isin_did(self, arrays):
+        indptr, indices, shape = (
+            np.asarray(arrays[0], dtype=np.int64),
+            np.asarray(arrays[1], dtype=np.int64),
+            arrays[2],
+        )
+        data = np.ones(indices.size)
+        message = isin_validate(indptr, indices, data, shape)
+        if message is None:
+            CsrMatrix(indptr, indices, data, shape)
+        else:
+            with pytest.raises(ValidationError) as info:
+                CsrMatrix(indptr, indices, data, shape)
+            assert str(info.value) == message
 
 
 # -- Graph ------------------------------------------------------------------
@@ -325,6 +472,38 @@ class TestGraph:
     def test_dataset_graphs(self, name, scale):
         n, u, v = dataset_edges(dataset(name, scale))
         assert_same_graph(Graph(n, u, v), eager_graph(n, u, v))
+
+    @pytest.mark.parametrize("name, scale", DATASETS, ids=DATASET_IDS)
+    def test_dataset_as_graph_reads_the_upper_triangle(self, name, scale):
+        fresh = load_dataset(name, scale=scale)  # its graph is not built yet
+        assert fresh._symmetric
+        assert_same_graph(fresh.as_graph(), eager_graph(*dataset_edges(fresh)))
+
+    def test_other_datasets_take_the_general_path(self, tmp_path):
+        # A non-symmetric pattern: its upper triangle alone would miss the
+        # edge {0, 2}, stored only as (2, 0); the diagonal entry is no edge.
+        matrix = from_coo(
+            [0, 2, 3, 1, 1, 0], [1, 0, 1, 3, 1, 1], np.arange(1.0, 7.0), (4, 4)
+        )
+        write_matrix_market(matrix, tmp_path / "general.mtx")
+        for ds in (
+            dataset_from_matrix_market(str(tmp_path / "general.mtx")),
+            Dataset("hand-built", "external", matrix, 4, 6),
+        ):
+            assert not ds._symmetric
+            assert_same_graph(ds.as_graph(), eager_graph(*dataset_edges(ds)))
+            assert ds.as_graph().m == 3
+
+
+class TestTableIISymmetry:
+    """The upper-triangle graph is exact only for symmetric patterns."""
+
+    @pytest.mark.parametrize("name, scale", DATASETS, ids=DATASET_IDS)
+    def test_pattern_is_symmetric(self, name, scale):
+        m = dataset(name, scale).matrix
+        t = m.transpose()
+        assert_same_array(t.indptr, m.indptr)
+        assert_same_array(t.indices, m.indices)
 
 
 class TestSubgraph:
@@ -406,11 +585,22 @@ class TestEstimateCompression:
 
     def test_self_compression_is_the_estimate_kept_on_the_operand(self):
         a = from_coo([0, 0, 1, 2], [0, 2, 1, 0], [1.0, 2.0, 3.0, 4.0], (3, 3))
-        assert a._self_compression is None
+        assert a._self_product is None
         ratio = self_compression(a)
-        assert ratio == estimate_compression(a, a) and a._self_compression == ratio
-        a._self_compression = 0.25  # a kept value is reused, not re-estimated
+        assert ratio == estimate_compression(a, a)
+        assert a._self_product.compression == ratio
+        a._self_product.compression = 0.25  # a kept value is reused
         assert self_compression(a) == 0.25
+
+    def test_one_read_only_load_vector_per_operand(self):
+        a = dataset("webbase-1M", 1 / 64).matrix
+        fresh = CsrMatrix(a.indptr, a.indices, a.data, a.shape)
+        load = self_load_vector(fresh)
+        assert_same_array(load, load_vector(fresh, fresh))
+        assert not load.flags.writeable
+        assert self_load_vector(fresh) is load
+        assert estimate_compression(fresh, fresh) == row_loop_estimate(fresh, fresh)
+        assert fresh._self_product.compression is None  # a direct call keeps nothing
 
 
 # -- work counts ------------------------------------------------------------
@@ -444,6 +634,14 @@ class TestWorkCounts:
     def test_cold_table1_estimates_each_operand_once(
         self, fresh_datasets, estimates, monkeypatch
     ):
+        loads: list = []
+        load = spgemm_module.load_vector
+
+        def counting_load(a, b):
+            loads.append((a, b))
+            return load(a, b)
+
+        monkeypatch.setattr(spgemm_module, "load_vector", counting_load)
         problems: list = []
         for cls in (SpmmProblem, HhCpuProblem):
 
@@ -460,12 +658,18 @@ class TestWorkCounts:
         for name, matrix in matrices.items():
             full = [p for p in problems if p.a is matrix]
             assert Counter(type(p) for p in full) == {SpmmProblem: 1, HhCpuProblem: 1}
-            assert {p._compression for p in full} == {matrix._self_compression}
+            memo = matrix._self_product
+            assert {p._compression for p in full} == {memo.compression}
+            # One A x A load vector, shared by both problems and the estimate.
+            assert all(p._row_mults is memo.load for p in full)
+            assert sum(a is matrix and b is matrix for a, b in loads) == 1
 
     @pytest.mark.parametrize("study", [fig3_cc, fig4_cc_sensitivity], ids=["fig3", "fig4"])
     def test_cold_cc_studies_build_no_adjacency(self, fresh_datasets, monkeypatch, study):
+        # Every graph, from the constructor or Graph._canonical (dataset
+        # graphs and subgraphs), is filled in by Graph._set.
         counts = Counter()
-        for name in ("__init__", "_build_csr"):
+        for name in ("_set", "_build_csr"):
 
             def counting(self, *args, _method=getattr(Graph, name), _name=name, **kw):
                 counts[_name] += 1
@@ -473,5 +677,5 @@ class TestWorkCounts:
 
             monkeypatch.setattr(Graph, name, counting)
         study.run(replace(BASE, cache_dir=None))
-        assert counts["__init__"] > 0
+        assert counts["_set"] > 0
         assert counts["_build_csr"] == 0

@@ -44,7 +44,7 @@ echo "== API surface snapshot (docs/API.md) =="
 python -m pytest -x -q tests/test_api_surface.py
 
 echo
-echo "== construction and pricing equivalence (one-sort paths, work counts, hh events) =="
+echo "== construction and pricing equivalence (packed from_coo, O(nnz) CSR check, upper-triangle graphs, stamp estimate, work counts, hh events) =="
 python -m pytest -x -q \
     tests/test_construction_equivalence.py \
     tests/test_pricing_equivalence.py
