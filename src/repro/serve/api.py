@@ -18,6 +18,7 @@ is the byte representation all equality contracts compare.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Any
 
@@ -54,8 +55,22 @@ def _text(value: Any) -> str:
     return value
 
 
+def _int(value: Any) -> int:
+    """*value* if it is an integer; a float, string or bool is refused, not cut."""
+    if isinstance(value, bool):
+        raise TypeError("expected an integer, got bool")
+    return operator.index(value)
+
+
 def _optional_int(value: Any) -> int | None:
-    return None if value is None else int(value)
+    return None if value is None else _int(value)
+
+
+def _float(value: Any) -> float:
+    """*value* as a float if it is a number; a string or bool is refused."""
+    if isinstance(value, (str, bool)):
+        raise TypeError(f"expected a number, got {type(value).__name__}")
+    return float(value)
 
 
 def _floats(value: Any) -> tuple[float, ...]:
@@ -63,17 +78,26 @@ def _floats(value: Any) -> tuple[float, ...]:
         return ()
     if not isinstance(value, (list, tuple)):
         raise TypeError(f"expected a list, got {type(value).__name__}")
-    return tuple(float(t) for t in value)
+    return tuple(map(_float, value))
+
+
+def _checked(name: str, value: Any, convert) -> Any:
+    """``convert(value)``, or :class:`ValidationError` naming *name*."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{name} holds {value!r}: {exc}") from None
 
 
 def _decode(kind: str, record: Any, fields: tuple) -> dict:
     """Constructor arguments from a JSON *record*, one converter per field.
 
     A missing field, or a value its converter refuses (``None`` where a
-    number belongs, a non-numeric string, a list), raises
-    :class:`ValidationError` naming the field.  The converters are the
-    whole check: the serve hit path decodes a cached record per hit, so a
-    well-formed record is converted, not inspected first.
+    number belongs, a string or bool for a number, a float for an int, a
+    list), raises :class:`ValidationError` naming the field.  The serve
+    hit path decodes a cached record per hit, so a value whose class is
+    exactly the field's is taken as it is, and only the rest are
+    converted.
     """
     if not isinstance(record, dict):
         raise ValidationError(
@@ -81,9 +105,10 @@ def _decode(kind: str, record: Any, fields: tuple) -> dict:
         )
     out = {}
     try:
-        for name, convert, default in fields:
+        for name, exact, convert, default in fields:
             value = record.get(name, default)
-            out[name] = convert(value)  # no converter accepts _REQUIRED
+            # No converter accepts _REQUIRED.
+            out[name] = value if value.__class__ is exact else convert(value)
     except (TypeError, ValueError, OverflowError) as exc:
         if value is _REQUIRED:
             raise ValidationError(f"{kind} record is missing field {name!r}") from None
@@ -159,6 +184,12 @@ class TuneRequest:
     def __post_init__(self) -> None:
         from repro.platform.cluster import TOPOLOGIES
 
+        # Convert as the record decoder does, so an equal request has an
+        # equal record and fingerprint (``scale=1`` is stored as 1.0).
+        for name, exact, convert, _ in _REQUEST_FIELDS:
+            value = getattr(self, name)
+            if value.__class__ is not exact:
+                object.__setattr__(self, name, _checked(name, value, convert))
         if self.problem not in PROBLEM_KINDS:
             raise ValidationError(
                 f"unknown problem kind {self.problem!r}; expected one of "
@@ -329,31 +360,31 @@ class TuneResponse:
         return json.dumps(self.to_record(), sort_keys=True, separators=(",", ":"))
 
 
-#: ``(field, converter, default)`` for each record field.
+#: ``(field, exact class, converter, default)`` for each record field.
 _REQUEST_FIELDS = (
-    ("problem", _text, _REQUIRED),
-    ("dataset", _text, _REQUIRED),
-    ("scale", float, _REQUIRED),
-    ("seed", int, _REQUIRED),
-    ("repeats", int, 1),
-    ("sample_size", _optional_int, None),
-    ("n_devices", int, 2),
-    ("interconnect", _text, "shared"),
-    ("rounds", int, 1),
+    ("problem", str, _text, _REQUIRED),
+    ("dataset", str, _text, _REQUIRED),
+    ("scale", float, _float, _REQUIRED),
+    ("seed", int, _int, _REQUIRED),
+    ("repeats", int, _int, 1),
+    ("sample_size", int, _optional_int, None),
+    ("n_devices", int, _int, 2),
+    ("interconnect", str, _text, "shared"),
+    ("rounds", int, _int, 1),
 )
 _RESPONSE_FIELDS = (
-    ("problem", _text, _REQUIRED),
-    ("dataset", _text, _REQUIRED),
-    ("scale", float, _REQUIRED),
-    ("seed", int, _REQUIRED),
-    ("threshold", float, _REQUIRED),
-    ("thresholds", _floats, None),
-    ("rounds", int, 1),
-    ("phase2_ms", float, _REQUIRED),
-    ("estimation_ms", float, _REQUIRED),
-    ("overhead_percent", float, _REQUIRED),
-    ("n_evaluations", int, _REQUIRED),
-    ("search_name", _text, _REQUIRED),
+    ("problem", str, _text, _REQUIRED),
+    ("dataset", str, _text, _REQUIRED),
+    ("scale", float, _float, _REQUIRED),
+    ("seed", int, _int, _REQUIRED),
+    ("threshold", float, _float, _REQUIRED),
+    ("thresholds", None, _floats, None),  # always converted, to a tuple
+    ("rounds", int, _int, 1),
+    ("phase2_ms", float, _float, _REQUIRED),
+    ("estimation_ms", float, _float, _REQUIRED),
+    ("overhead_percent", float, _float, _REQUIRED),
+    ("n_evaluations", int, _int, _REQUIRED),
+    ("search_name", str, _text, _REQUIRED),
 )
 
 

@@ -29,15 +29,14 @@ def from_coo(
     """Build CSR from coordinate triples.
 
     Entries are put into stable row-major order by
-    :func:`~repro.util.pairs.row_major`: no sort when they already are,
-    else one in-place sort of the fused key ``row * n_cols + col`` packed
-    with each entry's position (a stable argsort or ``np.lexsort`` for
-    shapes too large to pack).  Duplicates at the same coordinate are
-    summed in input order (the COO convention) unless *sum_duplicates* is
-    false, in which case duplicates raise :class:`ValidationError`.  The
-    matrix never shares memory with the input arrays.
+    :func:`~repro.util.pairs.row_major`: one in-place sort of the fused
+    key ``row * n_cols + col`` packed with each entry's position (a stable
+    argsort or ``np.lexsort`` for shapes too large to pack).  Duplicates
+    at the same coordinate are summed in input order (the COO convention)
+    unless *sum_duplicates* is false, in which case duplicates raise
+    :class:`ValidationError`.  The matrix never shares memory with the
+    input arrays.
     """
-    given_cols, given_vals = cols, vals
     rows = np.asarray(rows, dtype=_INDEX)
     cols = np.asarray(cols, dtype=_INDEX)
     vals = np.asarray(vals, dtype=_VALUE)
@@ -61,11 +60,6 @@ def from_coo(
             summed = np.zeros(int(seg_ids[-1]) + 1, dtype=_VALUE)
             np.add.at(summed, seg_ids, vals)
             rows, cols, vals = rows[first], cols[first], summed
-    # Row-major input skips the sort: copy what is still the caller's array.
-    if cols is given_cols:
-        cols = cols.copy()
-    if vals is given_vals:
-        vals = vals.copy()
     indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n_rows))))
     return CsrMatrix(indptr, cols, vals, shape)
 

@@ -223,11 +223,10 @@ def estimate_compression(
 
     Deterministic by default: the sample seed derives from the operand
     shapes and nonzero counts, so repeated pricing of one instance agrees.
-    ``A x A`` reads the load vector kept on ``A`` when there is one.
+    ``A x A`` reads the load vector kept on ``A`` (:func:`self_load_vector`).
     """
     _check_compatible(a, b)
-    memo = a._self_product if b is a else None
-    lv = load_vector(a, b) if memo is None else memo.load
+    lv = self_load_vector(a) if b is a else load_vector(a, b)
     total_mults = float(lv.sum())
     if total_mults == 0:
         return 1.0

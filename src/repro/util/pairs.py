@@ -53,17 +53,15 @@ def row_major(
     n_major: int,
     n_minor: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The triples in stable row-major order, by the cheapest exact route.
+    """The triples in stable row-major order, as new arrays.
 
     The result is what ``np.lexsort((minor, major))`` and three gathers
     give, bit for bit:
 
-    - already non-decreasing fused keys come back as they are (the input
-      arrays themselves);
-    - otherwise, when :func:`packed_shift` fits, one in-place sort of
-      ``key << shift | position``: ascending packed values are the
-      stable order, the low bits gather *values* once, and the high bits
-      split back into the pair;
+    - when :func:`packed_shift` fits, one in-place sort of ``key << shift
+      | position``: ascending packed values are the stable order, the low
+      bits gather *values* once, and the high bits split back into the
+      pair (input already in order is sorted the same way);
     - otherwise a stable argsort of the fused key, or ``np.lexsort``
       past 2**63.
     """
@@ -72,8 +70,6 @@ def row_major(
     if key is None:
         order = np.lexsort((minor, major))
         return major[order], minor[order], values[order]
-    if size < 2 or bool(np.all(key[1:] >= key[:-1])):
-        return major, minor, values
     shift = packed_shift(n_major, n_minor, size)
     if shift is None:
         order = np.argsort(key, kind="stable")

@@ -1,8 +1,7 @@
 """Construction equivalence: each fast path against the path it replaced.
 
-``from_coo`` skips the sort for row-major input and otherwise sorts one
-packed int64 key in place (a stable argsort or ``np.lexsort`` for shapes
-too large to pack); ``CsrMatrix`` checks per-row order with one O(nnz)
+``from_coo`` sorts one packed int64 key in place (a stable argsort or
+``np.lexsort`` for shapes too large to pack); ``CsrMatrix`` checks per-row order with one O(nnz)
 mask; ``Graph`` sorts index pairs on one fused key; ``Graph.subgraph``
 relabels through a vertex-position map; a Table II dataset's graph is its
 CSR's strict upper triangle; and ``estimate_compression`` counts every
@@ -396,7 +395,7 @@ class TestFromCoo:
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(row_major_triples(), st.booleans())
-    def test_row_major_input_skips_the_sort(self, triples, sum_duplicates):
+    def test_row_major_input(self, triples, sum_duplicates):
         rows, cols, vals, shape = triples
         try:
             reference = lexsort_from_coo(rows, cols, vals, shape, sum_duplicates)
@@ -406,7 +405,7 @@ class TestFromCoo:
             return
         matrix = from_coo(rows, cols, vals, shape, sum_duplicates)
         assert_same_csr(matrix, reference)
-        # The matrix owns its arrays even when nothing was sorted.
+        # The matrix owns its arrays even when the input was in order.
         for given in (rows, cols, vals):
             assert not np.shares_memory(matrix.indices, given)
             assert not np.shares_memory(matrix.data, given)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -72,25 +73,32 @@ def through_json(record: dict) -> dict:
 
 #: Values a field's conversion refuses, by the field's kind.  ``None`` is
 #: checked separately, because it is valid for the optional fields.
+#: Numbers are not coerced: a numeric string, a bool, or a float where an
+#: int belongs (even ``2.0``) is refused, never parsed or truncated.
 MAPPINGS = st.dictionaries(st.text(max_size=2), st.integers(), max_size=2)
 NOT_A_NUMBER = (
-    st.sampled_from(["", "many", "1.5.2", "0x10"])
+    st.sampled_from(["", "many", "1.5.2", "0x10", "3", "0.015625", "nan"])
+    | st.booleans()
     | st.lists(st.integers(), max_size=2)
     | MAPPINGS
 )
+NOT_AN_INT = NOT_A_NUMBER | finite
 NOT_TEXT = st.integers() | finite | st.lists(st.text(max_size=2), max_size=2)
 NOT_A_LIST = st.text(max_size=3) | st.integers() | MAPPINGS | st.lists(
-    st.sampled_from(["x", None, []]), min_size=1, max_size=2
+    st.sampled_from(["x", "0.5", True, None, []]), min_size=1, max_size=2
 )
 TEXT = {"problem", "dataset", "interconnect", "search_name"}
+INTS = {"seed", "repeats", "sample_size", "n_devices", "rounds", "n_evaluations"}
 OPTIONAL = {"sample_size", "thresholds"}  # None is a valid value
 
 
 def corrupted(record: dict, field: str, data) -> dict:
     if field == "thresholds":
         bad = NOT_A_LIST
+    elif field in TEXT:
+        bad = NOT_TEXT
     else:
-        bad = NOT_TEXT if field in TEXT else NOT_A_NUMBER
+        bad = NOT_AN_INT if field in INTS else NOT_A_NUMBER
     return {**record, field: data.draw(bad)}
 
 
@@ -158,6 +166,21 @@ class TestMalformedRecords:
                 {"problem": "cc", "dataset": "cant", "scale": 0.5, "seed": float("inf")},
                 "seed",
             ),
+            ({"problem": "cc", "dataset": "cant", "scale": 0.5, "seed": 2.7}, "seed"),
+            (
+                {"problem": "cc", "dataset": "cant", "scale": "0.015625", "seed": 2},
+                "scale",
+            ),
+            (
+                {
+                    "problem": "cc",
+                    "dataset": "cant",
+                    "scale": 0.5,
+                    "seed": 2,
+                    "repeats": True,
+                },
+                "repeats",
+            ),
         ],
     )
     def test_request_examples(self, record, field):
@@ -169,3 +192,48 @@ class TestMalformedRecords:
         for cls in (TuneRequest, TuneResponse):
             with pytest.raises(ValidationError, match="must be an object"):
                 cls.from_record(record)
+
+
+class TestConstructorTypes:
+    """The constructor converts and refuses as the decoder does, so every
+    request it accepts reads back from its own record, fingerprint and
+    all."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("seed", 2.5),
+            ("seed", 2.0),
+            ("seed", "2"),
+            ("seed", True),
+            ("repeats", 1.0),
+            ("repeats", False),
+            ("sample_size", 8.0),
+            ("n_devices", "2"),
+            ("rounds", True),
+            ("scale", "0.5"),
+            ("scale", True),
+            ("scale", 10**400),
+            ("problem", 3),
+        ],
+    )
+    def test_a_mistyped_field_raises_naming_it(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            TuneRequest(**{"problem": "cc", "dataset": "cant", field: value})
+
+    @pytest.mark.parametrize(
+        "numbers",
+        [
+            {"scale": 1},
+            {"scale": np.float64(0.25), "seed": np.int64(7)},
+            {"repeats": np.int32(2), "sample_size": np.int64(9)},
+        ],
+    )
+    def test_other_numeric_types_are_stored_as_int_and_float(self, numbers):
+        request = TuneRequest(problem="cc", dataset="cant", **numbers)
+        assert type(request.scale) is float
+        for name in ("seed", "repeats", "sample_size"):
+            assert type(getattr(request, name)) in (int, type(None))
+        clone = TuneRequest.from_record(through_json(request.to_record()))
+        assert clone == request
+        assert clone.fingerprint() == request.fingerprint()
