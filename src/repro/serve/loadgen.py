@@ -192,8 +192,10 @@ def generate_traffic(spec: TrafficSpec) -> list[TimedRequest]:
     clock_ms = 0.0
     while len(stream) < spec.n_requests:
         burst = int(gen.geometric(1.0 / spec.burst_mean))
-        for _ in range(min(burst, spec.n_requests - len(stream))):
-            index = int(gen.choice(len(universe), p=probabilities))
+        size = min(burst, spec.n_requests - len(stream))
+        # One draw per burst takes the same uniforms, in the same order,
+        # as one draw per request.
+        for index in gen.choice(len(universe), size=size, p=probabilities):
             stream.append(
                 TimedRequest(arrival_ms=clock_ms, request=universe[index])
             )

@@ -16,12 +16,18 @@ into a service without changing a single answered byte:
   :class:`~repro.engine.sharded.ShardedResultCache`; flock-held
   ``get_or_compute`` means N server processes sharing one cache
   directory compute each cold key once, and never interleave writes.
+* **Answer map** — every answer this server computes or reads from disk
+  is kept decoded, by request fingerprint, in one LRU map of at most
+  ``remember_limit`` entries.  With a cache directory the compute
+  thread checks it first, so a repeat reads no disk while its key stays
+  in the map.
 * **Overload + faults** — a full queue sheds the request with a typed
   :class:`~repro.serve.api.ServerOverloadedError` instead of queueing
   unboundedly; compute faults (an armed
   :class:`~repro.engine.faults.FaultPlan`) are retried within
-  ``max_retries`` and, when exhausted, answered *stale* from the last
-  good response for that key if one exists.
+  ``max_retries`` and, when exhausted, answered *stale* from the answer
+  map if it holds the key.  Closing the server fails every request it
+  has not answered with :class:`~repro.serve.api.ServeError`.
 
 Responses are wrapped in :class:`ServedResponse`, which adds provenance
 (``source``) and measured latency **outside** the deterministic
@@ -86,10 +92,13 @@ class ServeConfig:
         Extra compute attempts after a faulted one (so ``max_retries + 1``
         attempts total, mirroring the engine's retry budget).
     stale_if_error:
-        Serve the last good response for a key when retries are
+        Serve the key's answer from the answer map when retries are
         exhausted, instead of failing the request.
     remember_limit:
-        How many last-good responses the stale fallback retains (LRU).
+        Most answers the server keeps decoded in memory (its LRU answer
+        map, filled by every computed answer and every disk hit).  With
+        ``cache_dir`` set, a repeat of a key in the map reads no disk;
+        the stale fallback reads the same map.  ``0`` keeps none.
     fault_plan:
         Deterministic chaos plan threaded through the request path: task
         faults fire per compute attempt, cache faults on stores, and
@@ -218,10 +227,12 @@ class TuningServer:
         self._batcher: asyncio.Task | None = None
         self._pool: ThreadPoolExecutor | None = None
         # Problem instances shared across batches of one problem_key, and
-        # the stale-if-error memory; both touched only by the compute
-        # thread.
+        # the answer map (decoded responses by request fingerprint, LRU,
+        # at most remember_limit): the first stop of a request when a
+        # cache directory is set, and the stale fallback.  Both are
+        # touched only by the compute thread.
         self._problems: OrderedDict[tuple, PartitionProblem] = OrderedDict()
-        self._last_good: OrderedDict[str, dict] = OrderedDict()
+        self._answers: OrderedDict[str, TuneResponse] = OrderedDict()
         self._seq = 0
         self._armed_synth = False
 
@@ -248,6 +259,11 @@ class TuningServer:
         self._batcher = asyncio.create_task(self._run_batches())
 
     async def close(self) -> None:
+        """Stop serving; every request not yet answered fails with ServeError.
+
+        That covers requests still queued and the batch the compute thread
+        holds (its answers are discarded), and their coalesced followers.
+        """
         if self._batcher is not None:
             self._batcher.cancel()
             try:
@@ -258,6 +274,11 @@ class TuningServer:
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
+        for future in self._inflight.values():
+            future.set_exception(
+                ServeError("server closed before answering the request")
+            )
+        self._inflight.clear()
         if self._armed_synth:
             arm_synth_faults(None)
             self._armed_synth = False
@@ -319,16 +340,11 @@ class TuningServer:
                 except asyncio.QueueEmpty:
                     break
             _obs.gauge("serve.queue_depth").set(self._queue.qsize())
-            try:
-                outcomes = await loop.run_in_executor(
-                    self._pool, self._process_batch, batch
-                )
-            except asyncio.CancelledError:
-                for pending in batch:
-                    self._inflight.pop(pending.key, None)
-                    if not pending.future.done():
-                        pending.future.cancel()
-                raise
+            # Cancelled here, the batch's futures stay in _inflight for
+            # close() to fail.
+            outcomes = await loop.run_in_executor(
+                self._pool, self._process_batch, batch
+            )
             for pending, outcome in zip(batch, outcomes):
                 self._inflight.pop(pending.key, None)
                 if isinstance(outcome, BaseException):
@@ -355,7 +371,7 @@ class TuningServer:
             for i in indices:
                 pending = batch[i]
                 try:
-                    outcomes[i] = self._serve_one(pending.request, pending.seq)
+                    outcomes[i] = self._serve_one(pending)
                 except Exception as exc:
                     outcomes[i] = exc
         return outcomes
@@ -381,16 +397,21 @@ class TuningServer:
             self._problems.move_to_end(key)
         return problem
 
-    def _serve_one(self, request: TuneRequest, seq: int) -> tuple[TuneResponse, str]:
-        """Answer one request on the compute thread: cache, compute, stale."""
-        fields = request.key_fields()
-        key = request.fingerprint()
+    def _serve_one(self, pending: _Pending) -> tuple[TuneResponse, str]:
+        """Answer one request on the compute thread: memory, disk, compute, stale."""
+        request, key, seq = pending.request, pending.key, pending.seq
+        fields = None  # key_fields(), built only when the disk is read
         if self.cache is not None:
-            record = self.cache.get(fields)
-            if record is not None:
+            response = self._answers.get(key)
+            if response is not None:
+                self._answers.move_to_end(key)
+            else:
+                fields = request.key_fields()
+                response = self._read(key, fields)
+            if response is not None:
                 self.counters.cache_hits += 1
                 _obs.counter("serve.cache.hit").inc()
-                return TuneResponse.from_record(record), "cache"
+                return response, "cache"
             self.counters.cache_misses += 1
             _obs.counter("serve.cache.miss").inc()
         plan = self.config.fault_plan
@@ -414,9 +435,9 @@ class TuningServer:
                             raise TuneFailedError(
                                 f"injected corrupt result for {request.dataset}"
                             )
-                    record = self._compute_record(request)
+                    record = self._compute_record(request, fields)
                 response = TuneResponse.from_record(record)
-                self._remember(key, record)
+                self._remember(key, response)
                 self.counters.computed += 1
                 _obs.counter("serve.computed").inc()
                 return response, "computed"
@@ -425,17 +446,17 @@ class TuningServer:
         # Retries exhausted: another process may have stored the answer
         # meanwhile (shared cache dir), then the stale fallback.
         if self.cache is not None:
-            record = self.cache.get(fields)
-            if record is not None:
+            response = self._read(key, fields)
+            if response is not None:
                 self.counters.cache_hits += 1
                 _obs.counter("serve.cache.hit").inc()
-                return TuneResponse.from_record(record), "cache"
+                return response, "cache"
         if self.config.stale_if_error:
-            stale = self._last_good.get(key)
+            stale = self._answers.get(key)
             if stale is not None:
                 self.counters.stale += 1
                 _obs.counter("serve.stale").inc()
-                return TuneResponse.from_record(stale), "stale"
+                return stale, "stale"
         self.counters.errors += 1
         _obs.counter("serve.errors").inc()
         raise TuneFailedError(
@@ -443,7 +464,16 @@ class TuningServer:
             f"{last_error!r}"
         ) from last_error
 
-    def _compute_record(self, request: TuneRequest) -> dict:
+    def _read(self, key: str, fields: dict) -> TuneResponse | None:
+        """The response stored on disk for *fields*, remembered; else ``None``."""
+        record = self.cache.get(fields)
+        if record is None:
+            return None
+        response = TuneResponse.from_record(record)
+        self._remember(key, response)
+        return response
+
+    def _compute_record(self, request: TuneRequest, fields: dict | None) -> dict:
         """Compute (or flock-coordinate) the response record for *request*."""
         if self.cache is None:
             return tune(request, problem=self._problem_for(request)).to_record()
@@ -454,16 +484,16 @@ class TuningServer:
         # get_or_compute holds the shard's exclusive flock across
         # re-check -> compute -> store, so concurrent server processes
         # sharing this cache directory compute each cold key exactly once.
-        record, _ = self.cache.get_or_compute(request.key_fields(), compute)
+        record, _ = self.cache.get_or_compute(fields, compute)
         return record
 
-    def _remember(self, key: str, record: dict) -> None:
+    def _remember(self, key: str, response: TuneResponse) -> None:
         if self.config.remember_limit <= 0:
             return
-        self._last_good[key] = record
-        self._last_good.move_to_end(key)
-        while len(self._last_good) > self.config.remember_limit:
-            self._last_good.popitem(last=False)
+        self._answers[key] = response
+        self._answers.move_to_end(key)
+        while len(self._answers) > self.config.remember_limit:
+            self._answers.popitem(last=False)
 
     # -- introspection -----------------------------------------------------
 

@@ -16,6 +16,10 @@ The acceptance criteria, spelled out as tests:
   last good response when allowed and raise
   :class:`~repro.serve.TuneFailedError` otherwise; ``crash_synth``
   chaos-tests dataset materialization through the serving path.
+* **Answer map**: with a cache directory, a repeat of a key the server
+  holds decoded reads no disk; ``remember_limit`` bounds the map.
+* **Close**: closing the server fails every request it has not answered
+  with a typed :class:`~repro.serve.ServeError`.
 * The deterministic load generator is a pure function of its spec.
 """
 
@@ -23,13 +27,18 @@ from __future__ import annotations
 
 import asyncio
 import json
+import threading
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.engine import FaultPlan, FaultSpec
 from repro.engine.faults import armed_synth_plan
+from repro.engine.sharded import ShardedResultCache
 from repro.serve import (
     ServeConfig,
+    ServeError,
     ServerOverloadedError,
     TrafficSpec,
     TuneFailedError,
@@ -44,6 +53,7 @@ from repro.serve import (
 )
 from repro.serve.loadgen import TimedRequest, load_requests, save_requests
 from repro.util.errors import ValidationError
+from repro.util.rng import as_generator, stable_seed
 
 #: Small-but-mixed stream: 2 problems x 1 dataset x 2 seeds = 4 unique
 #: requests behind 24 arrivals — plenty of duplication for coalescing
@@ -194,6 +204,135 @@ class TestByteIdentity:
 
 
 # ---------------------------------------------------------------------------
+# The answer map
+
+
+@pytest.fixture
+def disk_reads(monkeypatch) -> list[str]:
+    """The key of every ``ShardedResultCache.get`` call, in call order."""
+    reads: list[str] = []
+    get = ShardedResultCache.get
+
+    def counted(cache, fields):
+        reads.append(cache.key(fields))
+        return get(cache, fields)
+
+    monkeypatch.setattr(ShardedResultCache, "get", counted)
+    return reads
+
+
+def _serve_in_order(config, requests, reads):
+    """Answer *requests* one at a time on one server.
+
+    Returns, per request, the served response, the keys of the records
+    it read from disk (taken from *reads*, the ``disk_reads`` fixture)
+    and how many answers the server held afterwards.
+    """
+
+    async def run() -> list:
+        answered = []
+        async with TuningServer(config=config) as server:
+            for request in requests:
+                before = len(reads)
+                served = await server.submit(request)
+                answered.append((served, reads[before:], len(server._answers)))
+        return answered
+
+    return asyncio.run(run())
+
+
+class TestAnswerMap:
+    REQUEST = TuneRequest(problem="cc", dataset="cant", scale=1 / 64)
+
+    @pytest.mark.parametrize(
+        ("remember_limit", "reads_per_repeat"),
+        [(1024, 0), (0, 1)],
+        ids=["from-memory", "remember-none"],
+    )
+    def test_repeats_read_the_disk_only_when_not_remembered(
+        self, tmp_path, disk_reads, remember_limit, reads_per_repeat
+    ):
+        config = ServeConfig(cache_dir=str(tmp_path), remember_limit=remember_limit)
+        answered = _serve_in_order(config, [self.REQUEST] * 5, disk_reads)
+        assert [s.source for s, _, _ in answered] == ["computed"] + ["cache"] * 4
+        assert [len(reads) for _, reads, _ in answered[1:]] == [reads_per_repeat] * 4
+        assert {held for _, _, held in answered} == {min(remember_limit, 1)}
+        reference = tune(self.REQUEST).canonical_json()
+        assert [s.response.canonical_json() for s, _, _ in answered] == [
+            reference
+        ] * 5
+
+    def test_remember_limit_bounds_the_map(self, tmp_path, disk_reads):
+        a, b, c = (
+            TuneRequest(problem="cc", dataset="cant", scale=1 / 64, seed=seed)
+            for seed in (1, 2, 3)
+        )
+        config = ServeConfig(cache_dir=str(tmp_path), remember_limit=2)
+        answered = _serve_in_order(config, [a, b, c, a, a], disk_reads)
+        assert [s.source for s, _, _ in answered] == [
+            "computed", "computed", "computed", "cache", "cache",
+        ]
+        assert max(held for _, _, held in answered) == 2
+        # c evicted a; a is read back from disk once, then remembered.
+        key = ShardedResultCache(tmp_path).key(a.key_fields())
+        assert answered[3][1] == [key]
+        assert answered[4][1] == []
+        assert answered[3][0].response == answered[0][0].response
+
+    def test_fresh_server_reads_each_warm_record_once(self, tmp_path, disk_reads):
+        requests = _requests()
+        config = ServeConfig(cache_dir=str(tmp_path))
+        assert replay(requests, config, concurrency=16).errors == []
+        disk_reads.clear()
+        warm = replay(requests, config, concurrency=16)
+        assert warm.errors == []
+        assert warm.canonical() == _reference(requests)
+        reads = Counter(disk_reads)
+        assert len(reads) == len({r.fingerprint() for r in requests})
+        assert set(reads.values()) == {1}
+        assert warm.counters["cache_misses"] == 0
+        assert warm.counters["hit_rate"] == 1.0
+
+
+# ---------------------------------------------------------------------------
+# Closing
+
+
+class TestClose:
+    def test_close_fails_every_pending_request(self):
+        started, release = threading.Event(), threading.Event()
+
+        async def run() -> None:
+            server = TuningServer(config=ServeConfig(max_batch=1))
+            process = server._process_batch
+
+            def held(batch):
+                started.set()
+                release.wait(timeout=30)
+                return process(batch)
+
+            server._process_batch = held
+            await server.start()
+            requests = [
+                TuneRequest(problem=problem, dataset="cant", scale=1 / 64)
+                for problem in ("cc", "spmm", "hh", "cc")
+            ]
+            # One batch in the compute thread, two queued, one follower.
+            tasks = [asyncio.create_task(server.submit(r)) for r in requests]
+            assert await asyncio.to_thread(started.wait, 30)
+            release.set()
+            await server.close()
+            done, pending = await asyncio.wait(tasks, timeout=30)
+            assert not pending
+            for task in done:
+                assert isinstance(task.exception(), ServeError)
+                assert "server closed" in str(task.exception())
+            assert server.stats()["inflight"] == 0
+
+        asyncio.run(run())
+
+
+# ---------------------------------------------------------------------------
 # Overload shedding
 
 
@@ -297,6 +436,21 @@ class TestServingFaults:
 # Load generator determinism
 
 
+def _per_request_traffic(spec: TrafficSpec) -> list[TimedRequest]:
+    """The reference stream: one ``choice`` draw per request."""
+    universe, probabilities = request_universe(spec)
+    gen = as_generator(stable_seed(spec.seed, "loadgen-traffic"))
+    stream: list[TimedRequest] = []
+    clock_ms = 0.0
+    while len(stream) < spec.n_requests:
+        burst = int(gen.geometric(1.0 / spec.burst_mean))
+        for _ in range(min(burst, spec.n_requests - len(stream))):
+            index = int(gen.choice(len(universe), p=probabilities))
+            stream.append(TimedRequest(arrival_ms=clock_ms, request=universe[index]))
+        clock_ms += float(gen.exponential(spec.gap_mean_ms))
+    return stream
+
+
 class TestLoadgen:
     def test_traffic_is_pure_function_of_spec(self):
         a = generate_traffic(SPEC)
@@ -326,6 +480,26 @@ class TestLoadgen:
         for timed in generate_traffic(spec):
             counts[timed.request.dataset] = counts.get(timed.request.dataset, 0) + 1
         assert counts["cant"] > counts["netherlands_osm"]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        n_requests=st.integers(1, 300),
+        seed=st.integers(0, 2**32),
+        seed_pool=st.integers(1, 8),
+        burst_mean=st.floats(1.0, 64.0),
+        zipf_alpha=st.floats(0.05, 4.0),
+    )
+    def test_one_draw_per_burst_matches_per_request_draws(
+        self, n_requests, seed, seed_pool, burst_mean, zipf_alpha
+    ):
+        spec = TrafficSpec(
+            n_requests=n_requests,
+            seed=seed,
+            seed_pool=seed_pool,
+            burst_mean=burst_mean,
+            zipf_alpha=zipf_alpha,
+        )
+        assert generate_traffic(spec) == _per_request_traffic(spec)
 
     def test_universe_weights_normalized(self):
         universe, probabilities = request_universe(SPEC)

@@ -5,7 +5,8 @@
 # parallel-safety / unit rules over the project graph), the analyzer's
 # own test suites, the API surface snapshot (docs/API.md vs the live
 # surface), the construction- and pricing-equivalence suite, the engine
-# test suite, the chaos suite, a cross-process warm replay, a cross-process
+# test suite, the chaos suite, the serving suites in asyncio dev mode, a
+# cross-process warm replay, a cross-process
 # serial-vs-pooled replay and a trace-validated cold run of all 17
 # experiments, the cluster experiments, the
 # dynamic re-balancing experiments (ext-dynamic and ablation-dynamic),
@@ -60,6 +61,14 @@ python -m pytest -x -q \
 echo
 echo "== chaos tests (fault injection) =="
 python -m pytest -x -q tests/test_engine_faults.py
+
+echo
+echo "== serving tests (asyncio dev mode) =="
+python -X dev -m pytest -x -q \
+    -W error::ResourceWarning \
+    -W error::pytest.PytestUnraisableExceptionWarning \
+    tests/test_serve.py \
+    tests/test_engine_locks.py
 
 echo
 echo "== warm replay (cross-process, all experiments) =="
