@@ -12,7 +12,7 @@ tuning service wants two more properties:
   :class:`~repro.engine.locks.ShardLock`, so several serving workers
   sharing one cache directory neither tear each other's multi-step
   updates nor duplicate the computation of one missing entry
-  (:meth:`ShardedResultCache.get_or_compute` re-checks under the lock).
+  (:meth:`ShardedResultCache.get_or_compute` checks under the lock).
 
 Each shard *is* a plain :class:`~repro.engine.cache.ResultCache` — same
 atomic writes, same corrupt-entry quarantine, same code-version salting —
@@ -104,16 +104,14 @@ class ShardedResultCache:
     ) -> tuple[dict, bool]:
         """Return ``(record, was_hit)``; compute-and-store on a miss.
 
-        The miss path holds the shard's exclusive lock across
-        *re-check -> compute -> store*, so when two processes miss the
-        same key simultaneously, exactly one computes and the other
-        reads the freshly stored record — the "no duplicate work"
-        contract serving workers rely on.  Keep *compute* bounded: it
-        runs under the lock (per-shard, so unrelated keys don't wait).
+        The shard's exclusive lock is held across *check -> compute ->
+        store*, so when two processes miss the same key simultaneously,
+        exactly one computes and the other reads the freshly stored
+        record — the "no duplicate work" contract serving workers rely
+        on.  The record is read once, under that lock: callers reach
+        here after their own :meth:`get` missed.  Keep *compute* bounded:
+        it runs under the lock (per-shard, so unrelated keys don't wait).
         """
-        record = self.get(fields)
-        if record is not None:
-            return record, True
         index = self.shard_index(fields)
         with self._locks[index].exclusive():
             record = self._shards[index].get(fields)

@@ -13,6 +13,7 @@ import numpy as np
 
 from repro.util.errors import ValidationError
 from repro.util.pairs import unique_pairs
+from repro.util.prefix import ranges_gather
 
 _INDEX = np.int64
 
@@ -118,25 +119,37 @@ class Graph:
         return 8 * (self.n + 1) + 16 * self.m
 
     def subgraph(self, vertices: np.ndarray) -> "Graph":
-        """Induced subgraph on *vertices*, relabeled to ``0..len-1``.
+        """Induced subgraph on *vertices*, relabeled to ``0..len-1``: O(s log m
+        + k log s) for ``s`` kept vertices with ``k`` upper edges.
 
         *vertices* must be sorted and unique; relative order (and therefore
-        the partition-relevant vertex ordering) is preserved.
+        the partition-relevant vertex ordering) is preserved.  The cost
+        follows the sample, not the graph: two binary searches per kept
+        vertex find its run of the sorted edge list, and one per gathered
+        edge tests the far endpoint.  Past about ``n / 32`` kept vertices
+        a pass over all ``m`` edges is cheaper (docs/PERFORMANCE.md §12);
+        the samplers keep at most ``4√n``, and
+        :meth:`~repro.hetero.cc.CcProblem.round_block` slices its
+        contiguous ranges without this method.
         """
         vs = np.asarray(vertices, dtype=_INDEX)
-        if vs.size:
-            if np.any(np.diff(vs) <= 0):
-                raise ValidationError("vertices must be sorted and unique")
-            if vs[0] < 0 or vs[-1] >= self.n:
-                raise ValidationError("vertex out of range")
-        # pos maps each kept vertex to its new label and every other to -1.
-        # The map is increasing, so kept edges stay canonical and in order.
-        pos = np.full(self.n, -1, dtype=_INDEX)
-        pos[vs] = np.arange(vs.size, dtype=_INDEX)
-        pos_u = pos[self.edge_u]
-        pos_v = pos[self.edge_v]
-        keep = (pos_u >= 0) & (pos_v >= 0)
-        return Graph._canonical(vs.size, pos_u[keep], pos_v[keep])
+        if vs.size == 0:
+            return Graph._canonical(0, np.empty(0, _INDEX), np.empty(0, _INDEX))
+        if np.any(np.diff(vs) <= 0):
+            raise ValidationError("vertices must be sorted and unique")
+        if vs[0] < 0 or vs[-1] >= self.n:
+            raise ValidationError("vertex out of range")
+        # The edges are sorted by (edge_u, edge_v): each kept vertex's upper
+        # edges are one run, the runs come in vertex order, and relabeling
+        # by position in vs is increasing, so kept edges stay canonical and
+        # in order.
+        starts = np.searchsorted(self.edge_u, vs, side="left")
+        counts = np.searchsorted(self.edge_u, vs, side="right") - starts
+        far = self.edge_v[ranges_gather(starts, counts)]
+        pos = np.minimum(np.searchsorted(vs, far), vs.size - 1)
+        keep = vs[pos] == far
+        near = np.repeat(np.arange(vs.size, dtype=_INDEX), counts)
+        return Graph._canonical(vs.size, near[keep], pos[keep])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Graph(n={self.n}, m={self.m})"

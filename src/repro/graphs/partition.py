@@ -90,6 +90,7 @@ class CutProfile:
         self._edges_at_or_above = self._m - below_min
         degrees = lo_counts + hi_counts
         self._degree_prefix = np.concatenate(([0], np.cumsum(degrees))).astype(_INDEX)
+        self._degree_prefix.flags.writeable = False
         self._degree_prefix_max = (
             np.concatenate(([0], np.maximum.accumulate(degrees)))
             if n
@@ -103,6 +104,16 @@ class CutProfile:
     @property
     def m(self) -> int:
         return self._m
+
+    @property
+    def degree_prefix(self) -> np.ndarray:
+        """``(n + 1,)`` read-only prefix sums of the vertex degrees.
+
+        Vertex ``v``'s degree is ``prefix[v + 1] - prefix[v]``, so a sample
+        reads its vertices' degrees in O(s) and the whole degree vector is
+        one ``np.diff``, with no pass over the edges.
+        """
+        return self._degree_prefix
 
     def _check(self, k: int) -> None:
         if not 0 <= k <= self._n:

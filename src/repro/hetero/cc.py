@@ -274,13 +274,19 @@ class CcProblem:
           real machine, no weights, no scaling.  This is the paper's
           procedure taken at face value; the identify step degenerates on
           it (see EXPERIMENTS.md, methodology note 3).
+
+        Cost: the draw (O(n) for ``choice`` without replacement, or for the
+        importance keys) plus :meth:`Graph.subgraph`'s O(s log m + k log s).
+        Degrees come from the cut profile's degree prefix, O(s) for the
+        kept vertices (one O(n) ``np.diff`` for ``importance``); no pass
+        over the m edges.
         """
         size = min(size, self.graph.n)
         gen = as_generator(rng)
         method = method or self.sampling_method
-        degrees = self.graph.degrees().astype(np.float64)
+        prefix = self._cut.degree_prefix
         if method == "importance":
-            work = 1.0 + degrees
+            work = 1.0 + np.diff(prefix)
             # Efraimidis-Spirakis weighted sampling without replacement.
             keys = gen.random(self.graph.n) ** (1.0 / work)
             vs = np.sort(np.argpartition(keys, -size)[-size:])
@@ -298,7 +304,7 @@ class CcProblem:
             sub,
             self.machine.without_fixed_overheads(),
             name=f"{self.name}/sample{size}",
-            vertex_weights=degrees[vs],
+            vertex_weights=(prefix[vs + 1] - prefix[vs]).astype(np.float64),
             work_scale=self.graph.n / max(size, 1),
             rep_work=rep,
             profile=self.profile,
@@ -366,18 +372,26 @@ class CcProblem:
         return self.graph.n
 
     def round_block(self, lo: int, hi: int) -> "CcProblem":
-        """The induced subgraph on the contiguous vertex range ``[lo, hi)``.
+        """The induced subgraph on the contiguous vertex range ``[lo, hi)``,
+        sliced from the edge list in O(log m + k) for its ``k`` edges.
 
         Cross-block edges fold into the final merge exactly as cross-cut
         edges do within a block, so pricing rounds on induced blocks keeps
         the Phase-II model's shape.  Full instances only (a sampled
-        instance represents the whole input).
+        instance represents the whole input).  The edges are sorted by
+        lower endpoint, so those starting in ``[lo, hi)`` are one slice;
+        the block keeps the ones that also end below ``hi``, shifted by
+        ``lo`` (the same graph as ``graph.subgraph(arange(lo, hi))``).
         """
         if self.is_sample:
             raise ValidationError("round_block is defined for full instances")
         if not 0 <= lo < hi <= self.graph.n:
             raise ValidationError(f"bad vertex block [{lo}, {hi})")
-        sub = self.graph.subgraph(np.arange(lo, hi, dtype=_INDEX))
+        u, v = self.graph.edge_u, self.graph.edge_v
+        first, last = np.searchsorted(u, [lo, hi])
+        u, v = u[first:last], v[first:last]
+        keep = v < hi
+        sub = Graph._canonical(hi - lo, u[keep] - lo, v[keep] - lo)
         return CcProblem(
             sub,
             self.machine,

@@ -27,7 +27,9 @@ into a service without changing a single answered byte:
   :class:`~repro.engine.faults.FaultPlan`) are retried within
   ``max_retries`` and, when exhausted, answered *stale* from the answer
   map if it holds the key.  Closing the server fails every request it
-  has not answered with :class:`~repro.serve.api.ServeError`.
+  has not answered with :class:`~repro.serve.api.ServeError`; the
+  compute thread stops between requests, so closing waits for at most
+  the one in progress.
 
 Responses are wrapped in :class:`ServedResponse`, which adds provenance
 (``source``) and measured latency **outside** the deterministic
@@ -43,6 +45,7 @@ a collector is installed.
 from __future__ import annotations
 
 import asyncio
+import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
@@ -70,6 +73,8 @@ from repro.util.errors import ValidationError
 
 #: How a request was answered, in the order the server tries them.
 SOURCES = ("cache", "computed", "coalesced", "stale")
+
+_CLOSED = "server closed before answering the request"
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -235,6 +240,8 @@ class TuningServer:
         self._answers: OrderedDict[str, TuneResponse] = OrderedDict()
         self._seq = 0
         self._armed_synth = False
+        # Set by close(); the compute thread checks it before each request.
+        self._closing = threading.Event()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -254,6 +261,7 @@ class TuningServer:
         ):
             arm_synth_faults(plan)
             self._armed_synth = True
+        self._closing.clear()
         self._queue = asyncio.Queue(maxsize=self.config.queue_limit)
         self._pool = ThreadPoolExecutor(max_workers=1)
         self._batcher = asyncio.create_task(self._run_batches())
@@ -261,9 +269,12 @@ class TuningServer:
     async def close(self) -> None:
         """Stop serving; every request not yet answered fails with ServeError.
 
-        That covers requests still queued and the batch the compute thread
-        holds (its answers are discarded), and their coalesced followers.
+        That covers requests still queued, the batch the compute thread
+        holds, and their coalesced followers.  The compute thread stops
+        before its next request, so this waits for at most the request in
+        progress (whose answer is discarded too).
         """
+        self._closing.set()
         if self._batcher is not None:
             self._batcher.cancel()
             try:
@@ -275,9 +286,7 @@ class TuningServer:
             self._pool.shutdown(wait=True)
             self._pool = None
         for future in self._inflight.values():
-            future.set_exception(
-                ServeError("server closed before answering the request")
-            )
+            future.set_exception(ServeError(_CLOSED))
         self._inflight.clear()
         if self._armed_synth:
             arm_synth_faults(None)
@@ -369,9 +378,11 @@ class TuningServer:
                 self.counters.batched += len(indices)
                 _obs.counter("serve.batched").inc(len(indices))
             for i in indices:
-                pending = batch[i]
+                if self._closing.is_set():
+                    outcomes[i] = ServeError(_CLOSED)
+                    continue
                 try:
-                    outcomes[i] = self._serve_one(pending)
+                    outcomes[i] = self._serve_one(batch[i])
                 except Exception as exc:
                     outcomes[i] = exc
         return outcomes

@@ -16,6 +16,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.util.errors import ValidationError
+from repro.util.prefix import ranges_gather
 
 _INDEX = np.int64
 _VALUE = np.float64
@@ -159,7 +160,7 @@ class CsrMatrix:
             raise ValidationError("row selection index out of range")
         counts = self.indptr[rows + 1] - self.indptr[rows]
         out_indptr = np.concatenate(([0], np.cumsum(counts)))
-        gather = _ranges_gather(self.indptr[rows], counts)
+        gather = ranges_gather(self.indptr[rows], counts)
         return CsrMatrix(
             out_indptr,
             self.indices[gather],
@@ -210,16 +211,3 @@ class CsrMatrix:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CsrMatrix(shape={self.shape}, nnz={self.nnz})"
 
-
-def _ranges_gather(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Indices covering ``[starts[i], starts[i]+counts[i])`` for all i, in order.
-
-    The standard vectorized multi-range gather: an arithmetic ramp reset at
-    each range boundary.
-    """
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=_INDEX)
-    ends = np.cumsum(counts)
-    ramp = np.arange(total, dtype=_INDEX) - np.repeat(ends - counts, counts)
-    return np.repeat(starts, counts) + ramp

@@ -27,8 +27,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.sparse.construct import from_coo
-from repro.sparse.csr import CsrMatrix, _ranges_gather
+from repro.sparse.csr import CsrMatrix
 from repro.util.errors import ValidationError
+from repro.util.prefix import ranges_gather
 from repro.util.rng import as_generator
 
 _INDEX = np.int64
@@ -185,7 +186,7 @@ def spgemm(a: CsrMatrix, b: CsrMatrix) -> CsrMatrix:
             np.empty(0, dtype=np.float64),
             shape,
         )
-    gather = _ranges_gather(b.indptr[a.indices], expand_counts)
+    gather = ranges_gather(b.indptr[a.indices], expand_counts)
     out_cols = b.indices[gather]
     out_vals = np.repeat(a.data, expand_counts) * b.data[gather]
     if a.n_rows * b.n_cols <= _FOLD_DENSITY_CUTOFF * total:
@@ -240,9 +241,9 @@ def estimate_compression(
     k = min(max_rows, candidates.size)
     rows = rng.choice(candidates, size=k, replace=False)
     a_counts = a.row_nnz()[rows]
-    cols_a = a.indices[_ranges_gather(a.indptr[rows], a_counts)]
+    cols_a = a.indices[ranges_gather(a.indptr[rows], a_counts)]
     expand_counts = b.row_nnz()[cols_a]
-    out_cols = b.indices[_ranges_gather(b.indptr[cols_a], expand_counts)]
+    out_cols = b.indices[ranges_gather(b.indptr[cols_a], expand_counts)]
     if out_cols.size == 0:
         return 1.0
     # Sampled row s expands into out_cols[bounds[s]:bounds[s + 1]].

@@ -1,8 +1,10 @@
-"""Prefix-sum tools for work-volume splitting.
+"""Prefix-sum tools for work-volume splitting and range gathers.
 
 Both Algorithm 2 (spmm row split) and the cost models reduce "give device A
 an r% share of the work" to a search over a prefix-sum of per-row (or
-per-vertex) work.  These helpers implement that search once, vectorized.
+per-vertex) work.  These helpers implement that search once, vectorized,
+plus the multi-range gather that CSR row selection and graph samples read
+their runs with.
 """
 
 from __future__ import annotations
@@ -26,6 +28,20 @@ def exclusive_prefix_sum(values: Sequence[float] | np.ndarray) -> np.ndarray:
     out[0] = 0.0
     np.cumsum(arr, out=out[1:])
     return out[:-1]
+
+
+def ranges_gather(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Indices covering ``[starts[i], starts[i]+counts[i])`` for all i, in order.
+
+    The standard vectorized multi-range gather: an arithmetic ramp reset at
+    each range boundary.
+    """
+    total = int(counts.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64)
+    ends = np.cumsum(counts)
+    ramp = np.arange(total, dtype=np.int64) - np.repeat(ends - counts, counts)
+    return np.repeat(starts, counts) + ramp
 
 
 def split_index_for_share(work: np.ndarray, share: float) -> int:

@@ -2,13 +2,13 @@
 
 ``from_coo`` sorts one packed int64 key in place (a stable argsort or
 ``np.lexsort`` for shapes too large to pack); ``CsrMatrix`` checks per-row order with one O(nnz)
-mask; ``Graph`` sorts index pairs on one fused key; ``Graph.subgraph``
-relabels through a vertex-position map; a Table II dataset's graph is its
-CSR's strict upper triangle; and ``estimate_compression`` counts every
-sampled row's distinct output columns with stamps, without a sort.  Each
-must reproduce, array for array and bit for bit, the two-key
-``np.lexsort`` / ``np.isin`` / ``searchsorted`` / per-row ``np.unique``
-implementation it replaced; those stay here as references.  The Table II
+mask; ``Graph`` sorts index pairs on one fused key; a Table II dataset's
+graph is its CSR's strict upper triangle; and ``estimate_compression``
+counts every sampled row's distinct output columns with stamps, without a
+sort.  Each must reproduce, array for array and bit for bit, the two-key
+``np.lexsort`` / ``np.isin`` / per-row ``np.unique`` implementation it
+replaced; those stay here as references (the samplers' references live
+in ``tests/test_sampling_equivalence.py``).  The Table II
 generators must keep their patterns symmetric, which the upper-triangle
 graph relies on.  The work-count tests pin the savings themselves: one
 load vector and one compression estimate per operand, and no graph
@@ -33,7 +33,7 @@ from repro.hetero import hh_cpu as hh_module, spmm as spmm_module
 from repro.hetero.hh_cpu import HhCpuProblem
 from repro.hetero.spmm import SpmmProblem
 from repro.sparse.construct import from_coo, from_dense
-from repro.sparse.csr import CsrMatrix, _ranges_gather
+from repro.sparse.csr import CsrMatrix
 from repro.sparse.io import write_matrix_market
 from repro.sparse.spgemm import (
     estimate_compression,
@@ -43,6 +43,7 @@ from repro.sparse.spgemm import (
 )
 from repro.util.errors import ValidationError
 from repro.util.pairs import packed_shift, pair_key
+from repro.util.prefix import ranges_gather
 from repro.util.rng import as_generator
 from repro.workloads.dataset import Dataset, dataset_from_matrix_market
 from repro.workloads.suite import dataset_names, load_dataset
@@ -127,17 +128,6 @@ def eager_graph(n, u, v):
     return lo, hi, indptr, adjacency
 
 
-def searchsorted_subgraph(graph, vs):
-    """``Graph.subgraph`` through two ``searchsorted`` passes."""
-    vs = np.asarray(vs, dtype=np.int64)
-    if vs.size == 0:
-        return eager_graph(0, np.empty(0, np.int64), np.empty(0, np.int64))
-    pos_u = np.minimum(np.searchsorted(vs, graph.edge_u), vs.size - 1)
-    pos_v = np.minimum(np.searchsorted(vs, graph.edge_v), vs.size - 1)
-    keep = (vs[pos_u] == graph.edge_u) & (vs[pos_v] == graph.edge_v)
-    return eager_graph(vs.size, pos_u[keep], pos_v[keep])
-
-
 def row_loop_estimate(a, b, max_rows=256, rng=None):
     """``estimate_compression`` with one ``np.unique`` per sampled row."""
     lv = load_vector(a, b)
@@ -156,7 +146,7 @@ def row_loop_estimate(a, b, max_rows=256, rng=None):
         if cols_a.size == 0:
             continue
         expand_counts = b_row_nnz[cols_a]
-        out_cols = b.indices[_ranges_gather(b.indptr[cols_a], expand_counts)]
+        out_cols = b.indices[ranges_gather(b.indptr[cols_a], expand_counts)]
         sampled_mults += float(out_cols.size)
         sampled_nnz += float(np.unique(out_cols).size)
     if sampled_mults == 0:
@@ -503,30 +493,6 @@ class TestTableIISymmetry:
         t = m.transpose()
         assert_same_array(t.indptr, m.indptr)
         assert_same_array(t.indices, m.indices)
-
-
-class TestSubgraph:
-    @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(edge_lists(), st.data())
-    def test_matches_searchsorted(self, edges, data):
-        graph = Graph(*edges)
-        chosen = data.draw(st.lists(st.booleans(), min_size=graph.n, max_size=graph.n))
-        vs = np.flatnonzero(chosen)
-        assert_same_graph(graph.subgraph(vs), searchsorted_subgraph(graph, vs))
-
-    @pytest.mark.parametrize("name", ["cant", "asia_osm", "webbase-1M"])
-    def test_dataset_samples(self, name):
-        graph = dataset(name, 1 / 64).as_graph()
-        rng = np.random.default_rng(5)
-        samples = [
-            np.empty(0, dtype=np.int64),
-            np.array([graph.n // 2]),
-            np.arange(graph.n),
-            np.sort(rng.choice(graph.n, size=int(np.sqrt(graph.n)), replace=False)),
-            np.sort(rng.choice(graph.n, size=graph.n // 2, replace=False)),
-        ]
-        for vs in samples:
-            assert_same_graph(graph.subgraph(vs), searchsorted_subgraph(graph, vs))
 
 
 # -- estimate_compression ---------------------------------------------------

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.oracle import exhaustive_oracle
 from repro.core.cut_vector import coordinate_descent
@@ -9,9 +10,68 @@ from repro.hetero.multiway_spmm import MultiwaySpmmProblem
 from repro.hetero.spmm import SpmmProblem
 from repro.platform.cluster import ClusterSpec
 from repro.platform.machine import paper_testbed
+from repro.sparse.construct import from_coo
 from repro.sparse.spgemm import spgemm
 from repro.util.errors import ValidationError
 from repro.workloads.band import banded_matrix
+from tests.test_construction_equivalence import patterns
+
+
+def assert_p2_fold(a, machine, cluster, size):
+    """On a p=2 *cluster*, ``A x A`` prices, traces (up to lane and label
+    names) and multiplies exactly as the scalar problem on *machine*, on
+    the full instance and on each sampler's *size* miniature at one seed."""
+    grid = np.arange(0.0, 101.0)
+    lane = {"gpu": "gpu0", "pcie": cluster.interconnect.resource_for(1)}
+    label = {
+        "phase2/spgemm-gpu": "phase2/spgemm-gpu0",
+        "phase2/d2h-result": "phase2/d2h-gpu0",
+    }
+    pairs = [(SpmmProblem(a, machine), MultiwaySpmmProblem(a, cluster))]
+    for method in ("principal", "rows", "importance"):
+        scalar = SpmmProblem(a, machine, sampling_method=method)
+        multi = MultiwaySpmmProblem(a, cluster, base=scalar)
+        pairs.append((scalar.sample(size, rng=7), multi.sample(size, rng=7)))
+    for scalar, multi in pairs:
+        assert [multi.evaluate_ms([t]) for t in grid] == [
+            scalar.evaluate_ms(t) for t in grid
+        ]
+        assert (
+            multi.evaluate_many(grid[:, None]).tobytes()
+            == scalar.evaluate_many(grid).tobytes()
+        )
+        for t in (0.0, 31.0, 100.0):
+            expected = [
+                (
+                    lane.get(s.resource, s.resource),
+                    label.get(s.label, s.label),
+                    s.start_ms,
+                    s.duration_ms,
+                )
+                for s in scalar.timeline(t).spans
+            ]
+            got = [
+                (s.resource, s.label, s.start_ms, s.duration_ms)
+                for s in multi.timeline([t]).spans
+            ]
+            assert got == expected
+            left, right = multi.run([t]).product, scalar.run(t).product
+            assert left.shape == right.shape
+            for field in ("indptr", "indices", "data"):
+                assert getattr(left, field).tobytes() == getattr(right, field).tobytes()
+
+
+def _square(dense):
+    """The nonzeros of *dense* as a CSR matrix."""
+    dense = np.asarray(dense, dtype=np.float64)
+    rows, cols = np.nonzero(dense != 0)
+    return from_coo(rows, cols, dense[rows, cols], dense.shape)
+
+
+#: Every cell stored, every value zero.
+_EXPLICIT_ZEROS = from_coo(
+    np.repeat(np.arange(3), 3), np.tile(np.arange(3), 3), np.zeros(9), (3, 3)
+)
 
 
 @pytest.fixture()
@@ -39,51 +99,9 @@ class TestVectorGeometry:
         # prices, spans (up to lane names) and products agree bit for bit,
         # on the full instance and on each sampler's miniature.
         machine = paper_testbed(time_scale=3.7)
-        grid = np.arange(0.0, 101.0)
         for topology in ("shared", "dedicated"):
             cluster = ClusterSpec.from_machine(machine, topology=topology)
-            lane = {"gpu": "gpu0", "pcie": cluster.interconnect.resource_for(1)}
-            label = {
-                "phase2/spgemm-gpu": "phase2/spgemm-gpu0",
-                "phase2/d2h-result": "phase2/d2h-gpu0",
-            }
-            pairs = [
-                (SpmmProblem(problem.a, machine), MultiwaySpmmProblem(problem.a, cluster))
-            ]
-            for method in ("principal", "rows", "importance"):
-                scalar = SpmmProblem(problem.a, machine, sampling_method=method)
-                multi = MultiwaySpmmProblem(problem.a, cluster, base=scalar)
-                pairs.append((scalar.sample(300, rng=7), multi.sample(300, rng=7)))
-            for scalar, multi in pairs:
-                assert [multi.evaluate_ms([t]) for t in grid] == [
-                    scalar.evaluate_ms(t) for t in grid
-                ]
-                assert (
-                    multi.evaluate_many(grid[:, None]).tobytes()
-                    == scalar.evaluate_many(grid).tobytes()
-                )
-                for t in (0.0, 31.0, 100.0):
-                    expected = [
-                        (
-                            lane.get(s.resource, s.resource),
-                            label.get(s.label, s.label),
-                            s.start_ms,
-                            s.duration_ms,
-                        )
-                        for s in scalar.timeline(t).spans
-                    ]
-                    got = [
-                        (s.resource, s.label, s.start_ms, s.duration_ms)
-                        for s in multi.timeline([t]).spans
-                    ]
-                    assert got == expected
-                    left, right = multi.run([t]).product, scalar.run(t).product
-                    assert left.shape == right.shape
-                    for field in ("indptr", "indices", "data"):
-                        assert (
-                            getattr(left, field).tobytes()
-                            == getattr(right, field).tobytes()
-                        )
+            assert_p2_fold(problem.a, machine, cluster, size=300)
 
     def test_rejects_zero_gpus(self, machine):
         with pytest.raises(ValidationError):
@@ -138,3 +156,23 @@ class TestSamplingAndExecution:
         result = problem.run([15.0, 45.0, 75.0])
         assert result.product.allclose(spgemm(a, a))
         assert len(result.split_rows) == 3
+
+
+class TestP2Property:
+    """Generative check of the p=2 spmm fold on degenerate square matrices."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        a=st.tuples(st.integers(1, 10), st.booleans()).flatmap(
+            lambda shape: patterns(shape[0], shape[0], dense_row=shape[1])
+        )
+    )
+    @example(a=_square([[2.0]]))  # n = 1
+    @example(a=_square([[1.0, 2.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 3.0]]))  # empty row
+    @example(a=_square([[0, 0, 0, 0], [1, 2, 3, 4], [0, 0, 0, 0], [0, 5, 0, 0]]))
+    @example(a=_square(np.zeros((4, 4))))  # all zeros, nothing stored
+    @example(a=_EXPLICIT_ZEROS)  # all zeros, everything stored
+    def test_p2_multiway_equals_scalar(self, a):
+        machine = paper_testbed(time_scale=3.7)
+        cluster = ClusterSpec.from_machine(machine)
+        assert_p2_fold(a, machine, cluster, size=max(2, a.n_rows // 2))

@@ -17,9 +17,11 @@ The acceptance criteria, spelled out as tests:
   :class:`~repro.serve.TuneFailedError` otherwise; ``crash_synth``
   chaos-tests dataset materialization through the serving path.
 * **Answer map**: with a cache directory, a repeat of a key the server
-  holds decoded reads no disk; ``remember_limit`` bounds the map.
+  holds decoded reads no disk; ``remember_limit`` bounds the map; a cold
+  key reads its record twice.
 * **Close**: closing the server fails every request it has not answered
-  with a typed :class:`~repro.serve.ServeError`.
+  with a typed :class:`~repro.serve.ServeError`, and the compute thread
+  starts no request after it.
 * The deterministic load generator is a pure function of its spec.
 """
 
@@ -33,7 +35,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.engine import FaultPlan, FaultSpec
+from repro.engine import FaultPlan, FaultSpec, ResultCache
 from repro.engine.faults import armed_synth_plan
 from repro.engine.sharded import ShardedResultCache
 from repro.serve import (
@@ -279,6 +281,22 @@ class TestAnswerMap:
         assert answered[4][1] == []
         assert answered[3][0].response == answered[0][0].response
 
+    def test_cold_request_reads_its_record_twice(self, tmp_path, monkeypatch):
+        # Once under the shared lock in the server, once in the re-check
+        # under the exclusive lock; get_or_compute reads nothing more.
+        reads: list = []
+        get = ResultCache.get
+
+        def counted(cache, fields):
+            reads.append(fields)
+            return get(cache, fields)
+
+        monkeypatch.setattr(ResultCache, "get", counted)
+        config = ServeConfig(cache_dir=str(tmp_path))
+        answered = _serve_in_order(config, [self.REQUEST], [])
+        assert answered[0][0].source == "computed"
+        assert reads == [self.REQUEST.key_fields()] * 2
+
     def test_fresh_server_reads_each_warm_record_once(self, tmp_path, disk_reads):
         requests = _requests()
         config = ServeConfig(cache_dir=str(tmp_path))
@@ -330,6 +348,46 @@ class TestClose:
             assert server.stats()["inflight"] == 0
 
         asyncio.run(run())
+
+
+    def test_close_stops_the_compute_thread_between_requests(self):
+        # 30 distinct cold requests land in one batch.  The first is held
+        # in the compute thread until close() has begun; the thread then
+        # finishes it and starts no other.
+        started, release = threading.Event(), threading.Event()
+        requests = [
+            TuneRequest(problem="cc", dataset="cant", scale=1 / 64, seed=seed)
+            for seed in range(30)
+        ]
+
+        async def run() -> TuningServer:
+            server = TuningServer(config=ServeConfig(max_batch=32))
+            serve_one = server._serve_one
+
+            def held(pending):
+                if not started.is_set():
+                    started.set()
+                    release.wait(timeout=30)
+                return serve_one(pending)
+
+            server._serve_one = held
+            await server.start()
+            tasks = [asyncio.create_task(server.submit(r)) for r in requests]
+            assert await asyncio.to_thread(started.wait, 30)
+            closing = asyncio.create_task(server.close())
+            await asyncio.sleep(0)  # close() has run up to its first await
+            release.set()
+            await closing
+            done, pending = await asyncio.wait(tasks, timeout=30)
+            assert not pending
+            for task in done:
+                assert isinstance(task.exception(), ServeError)
+                assert "server closed" in str(task.exception())
+            return server
+
+        server = asyncio.run(run())
+        assert server.counters.computed < len(requests)
+        assert server.stats()["inflight"] == 0
 
 
 # ---------------------------------------------------------------------------

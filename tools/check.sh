@@ -4,9 +4,9 @@
 # package), the whole-program project analysis (determinism /
 # parallel-safety / unit rules over the project graph), the analyzer's
 # own test suites, the API surface snapshot (docs/API.md vs the live
-# surface), the construction- and pricing-equivalence suite, the engine
-# test suite, the chaos suite, the serving suites in asyncio dev mode, a
-# cross-process warm replay, a cross-process
+# surface), the construction-, sampling- and pricing-equivalence suites,
+# the engine test suite, the chaos suite, the serving suites in asyncio
+# dev mode, a cross-process warm replay, a cross-process
 # serial-vs-pooled replay and a trace-validated cold run of all 17
 # experiments, the cluster experiments, the
 # dynamic re-balancing experiments (ext-dynamic and ablation-dynamic),
@@ -45,9 +45,10 @@ echo "== API surface snapshot (docs/API.md) =="
 python -m pytest -x -q tests/test_api_surface.py
 
 echo
-echo "== construction and pricing equivalence (packed from_coo, O(nnz) CSR check, upper-triangle graphs, stamp estimate, work counts, hh events) =="
+echo "== construction, sampling and pricing equivalence (packed from_coo, O(nnz) CSR check, upper-triangle graphs, stamp estimate, subgraph runs, round-block slices, degree-prefix weights, column position map, work counts, hh events) =="
 python -m pytest -x -q \
     tests/test_construction_equivalence.py \
+    tests/test_sampling_equivalence.py \
     tests/test_pricing_equivalence.py
 
 echo
